@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <string_view>
 
 namespace twl {
@@ -17,13 +16,6 @@ namespace {
                  "' (expected " + expected + ")");
 }
 
-std::string canonical_name(const std::string& name) {
-  for (const auto& [alias, canonical] : deprecated_flag_aliases()) {
-    if (name == alias) return canonical;
-  }
-  return name;
-}
-
 // The strto* family silently skips leading whitespace, so " 12" and
 // "\t-3" would parse; a flag value with stray whitespace is a quoting
 // mistake in the invoking script and should be loud.
@@ -33,29 +25,7 @@ bool has_leading_space(const std::string& v) {
 
 }  // namespace
 
-const std::vector<std::pair<std::string, std::string>>&
-deprecated_flag_aliases() {
-  static const std::vector<std::pair<std::string, std::string>> kAliases = {
-      {"threads", "jobs"},        // pre-runner spelling
-      {"ratio-writes", "writes"}, // bench_fig7's old name
-      {"trace-file", "trace"},
-      {"wl", "scheme"},
-      {"scheme-spec", "scheme"},
-      {"fmt", "format"},
-      {"output", "out"},
-      {"out-file", "out"},
-  };
-  return kAliases;
-}
-
 CliArgs::CliArgs(int argc, const char* const* argv) {
-  // Wraps canonical_name so each use of a deprecated spelling is
-  // recorded; run_cli_main turns the record into one warning per alias.
-  const auto canonicalize = [this](std::string name) {
-    std::string canonical = canonical_name(name);
-    if (canonical != name) aliases_used_.emplace_back(name, canonical);
-    return canonical;
-  };
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (arg.rfind("--benchmark_", 0) == 0) continue;  // google-benchmark's.
@@ -72,12 +42,12 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
         throw CliError("expected --flag=value, got: '--" + std::string(arg) +
                        "'");
       }
-      values_[canonicalize(std::string(arg.substr(0, eq)))] =
+      values_[std::string(arg.substr(0, eq))] =
           std::string(arg.substr(eq + 1));
     } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[canonicalize(std::string(arg))] = argv[++i];
+      values_[std::string(arg)] = argv[++i];
     } else {
-      values_[canonicalize(std::string(arg))] = "true";  // bare boolean flag
+      values_[std::string(arg)] = "true";  // bare boolean flag
     }
   }
 }
@@ -181,22 +151,8 @@ int run_cli_main(int argc, const char* const* argv, const std::string& usage,
                  const std::function<int(const CliArgs&)>& body) {
   try {
     const CliArgs args(argc, argv);
-    // One warning per alias per process, on stderr so report output
-    // (often diffed byte-for-byte) stays clean.
-    static std::set<std::string> warned;
-    for (const auto& [alias, canonical] : args.deprecated_aliases_used()) {
-      if (!warned.insert(alias).second) continue;
-      std::fprintf(stderr,
-                   "warning: flag --%s is deprecated; use --%s instead\n",
-                   alias.c_str(), canonical.c_str());
-    }
     if (args.has("help")) {
       std::printf("%s", usage.c_str());
-      std::printf("\ndeprecated flag aliases (accepted, hidden):");
-      for (const auto& [alias, canonical] : deprecated_flag_aliases()) {
-        std::printf(" --%s=--%s", alias.c_str(), canonical.c_str());
-      }
-      std::printf("\n");
       return 0;
     }
     const int rc = body(args);

@@ -13,7 +13,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace twl {
@@ -26,19 +25,9 @@ class CliError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// Old flag spellings accepted everywhere as hidden aliases of the
-/// canonical names (alias -> canonical). The canonical vocabulary is
-/// shared by all binaries: --jobs, --seed, --scheme, --trace, --format,
-/// --out, --writes. run_cli_main appends a deprecation note listing
-/// these to every --help.
-[[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
-deprecated_flag_aliases();
-
 class CliArgs {
  public:
-  /// Parses argv. Throws CliError on malformed input. Deprecated alias
-  /// spellings (see deprecated_flag_aliases) are canonicalized here, so
-  /// callers only ever see the canonical names.
+  /// Parses argv. Throws CliError on malformed input.
   CliArgs(int argc, const char* const* argv);
 
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
@@ -60,15 +49,6 @@ class CliArgs {
 
   [[nodiscard]] bool has(const std::string& name) const;
 
-  /// Deprecated alias spellings this command line actually used, as
-  /// (alias, canonical) pairs in argv order. run_cli_main prints a
-  /// one-time warning per alias to stderr; exposed so tests can assert
-  /// the detection without capturing stderr.
-  [[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
-  deprecated_aliases_used() const {
-    return aliases_used_;
-  }
-
   /// Names the caller never queried — used to reject typos.
   [[nodiscard]] std::vector<std::string> unconsumed() const;
 
@@ -79,7 +59,6 @@ class CliArgs {
  private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
-  std::vector<std::pair<std::string, std::string>> aliases_used_;
 };
 
 /// Standard main() wrapper for flag-driven binaries: parses argv, handles

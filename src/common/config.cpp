@@ -38,11 +38,16 @@ void Config::validate() const {
   require(endurance.table_bits > 0 && endurance.table_bits <= 32,
           "endurance.table_bits", "must be in [1, 32]");
 
-  require(twl.tossup_interval > 0, "twl.tossup_interval", "must be > 0");
+  // The WCT counter saturates at kMaxTossupInterval; a longer interval
+  // would never fire a toss-up.
+  require(twl.tossup_interval > 0 &&
+              twl.tossup_interval <= kMaxTossupInterval,
+          "twl.tossup_interval", "must be in [1, 255]");
   // interpair_swap_interval == 0 disables inter-pair swaps (the ablation
   // bench's "off" row); TossUpWl guards the modulo accordingly.
-  require(twl.adaptive_interval_max > 0, "twl.adaptive_interval_max",
-          "must be > 0");
+  require(twl.adaptive_interval_max > 0 &&
+              twl.adaptive_interval_max <= kMaxTossupInterval,
+          "twl.adaptive_interval_max", "must be in [1, 255]");
   require(twl.adaptation_window > 0, "twl.adaptation_window", "must be > 0");
   require(twl.target_swap_ratio > 0.0, "twl.target_swap_ratio",
           "must be > 0");

@@ -84,6 +84,11 @@ enum class TossBias : std::uint8_t {
 
 [[nodiscard]] std::string to_string(TossBias b);
 
+/// Largest toss-up interval TWL can count to: the write counter table's
+/// widest (8-bit) counter saturates at 255, so a longer interval would
+/// never fire.
+inline constexpr std::uint32_t kMaxTossupInterval = 255;
+
 /// TWL parameters (Table 1 + Section 5.2's chosen toss-up interval of 32).
 struct TwlParams {
   std::uint32_t tossup_interval = 32;
@@ -100,7 +105,8 @@ struct TwlParams {
   TossBias bias = TossBias::kInitialEndurance;
   /// Adapt the toss-up interval at runtime to hold the swap-write ratio
   /// near `target_swap_ratio` (doubling/halving within
-  /// [1, adaptive_interval_max] once per adaptation window).
+  /// [1, adaptive_interval_max] once per adaptation window; the maximum
+  /// is at most kMaxTossupInterval).
   bool adaptive_interval = false;
   double target_swap_ratio = 0.022;  ///< The paper's ~2.2% operating point.
   std::uint32_t adaptive_interval_max = 128;

@@ -236,17 +236,9 @@ ServiceFrontEnd::ServiceFrontEnd(const Config& config,
 
 std::pair<std::uint32_t, std::uint32_t> ServiceFrontEnd::route(
     std::uint32_t global_la) const {
-  const std::uint32_t shards = service_.shards;
-  std::uint32_t shard = 0;
-  switch (service_.sharding) {
-    case ShardingPolicy::kHashLa:
-      shard = service_mix_la(global_la) % shards;
-      break;
-    case ShardingPolicy::kModuloLa:
-      shard = global_la % shards;
-      break;
-  }
-  return {shard, global_la / shards};
+  // Tenant 0's span starts at local page 0 on every shard, so its
+  // translation is the full-space one.
+  return directory_.translate(0, global_la, service_.sharding);
 }
 
 ShardParams ServiceFrontEnd::shard_params() const {
@@ -274,7 +266,7 @@ struct ServiceFrontEnd::Arrival {
   std::uint32_t client = 0;
   std::uint64_t seq = 0;
   std::uint32_t la = 0;      ///< Shard-local logical page.
-  TenantId tenant = 0;       ///< Tenant mode only (client % tenants).
+  TenantId tenant = 0;       ///< client % tenants.
 };
 
 struct ServiceFrontEnd::ShardCellResult {
@@ -282,44 +274,34 @@ struct ServiceFrontEnd::ShardCellResult {
   MetricsRegistry metrics;
 };
 
+FleetStream ServiceFrontEnd::client_stream(std::uint32_t client) const {
+  // Clients are assigned round-robin to tenants and draw from their
+  // tenant's private space; a blend shapes the traffic only in tenant
+  // mode.
+  const TenancyConfig& ten = service_.tenancy;
+  const TenantId tenant = client % directory_.tenant_count();
+  return FleetStream(
+      ten.active() ? blend_workload(ten.blend, tenant, service_.workload)
+                   : service_.workload,
+      directory_.tenant_pages(tenant),
+      client_seeds(config_.seed, client).workload);
+}
+
 std::vector<std::vector<ServiceFrontEnd::Arrival>>
 ServiceFrontEnd::generate_arrivals() const {
   std::vector<std::vector<Arrival>> per_shard(service_.shards);
-  if (service_.tenancy.active()) {
-    // Tenant mode: clients are assigned round-robin to tenants, draw
-    // from their tenant's private space under the blend's per-tenant
-    // workload, and route through the directory.
-    const TenancyConfig& ten = service_.tenancy;
-    for (std::uint32_t c = 0; c < service_.clients; ++c) {
-      const TenantId tenant = c % ten.tenants;
-      const ClientSeeds seeds = client_seeds(config_.seed, c);
-      FleetStream stream(blend_workload(ten.blend, tenant, service_.workload),
-                         directory_.tenant_pages(tenant), seeds.workload);
-      XorShift64Star gap_rng(seeds.gap);
-      Cycles t = 0;
-      for (std::uint64_t seq = 0; seq < service_.requests_per_client;
-           ++seq) {
-        const Cycles mean = service_.mean_gap_cycles;
-        t += mean == 0 ? 1 : 1 + gap_rng.next_below(2 * mean - 1);
-        const std::uint32_t tla = stream.next().value();
-        const auto [shard, local] =
-            directory_.translate(tenant, tla, service_.sharding);
-        per_shard[shard].push_back(Arrival{t, c, seq, local, tenant});
-      }
-    }
-    return per_shard;
-  }
   for (std::uint32_t c = 0; c < service_.clients; ++c) {
-    const ClientSeeds seeds = client_seeds(config_.seed, c);
-    FleetStream stream(service_.workload, global_pages_, seeds.workload);
-    XorShift64Star gap_rng(seeds.gap);
+    const TenantId tenant = c % directory_.tenant_count();
+    FleetStream stream = client_stream(c);
+    XorShift64Star gap_rng(client_seeds(config_.seed, c).gap);
     Cycles t = 0;
     for (std::uint64_t seq = 0; seq < service_.requests_per_client; ++seq) {
       const Cycles mean = service_.mean_gap_cycles;
       t += mean == 0 ? 1 : 1 + gap_rng.next_below(2 * mean - 1);
-      const std::uint32_t global = stream.next().value();
-      const auto [shard, local] = route(global);
-      per_shard[shard].push_back(Arrival{t, c, seq, local});
+      const std::uint32_t tla = stream.next().value();
+      const auto [shard, local] =
+          directory_.translate(tenant, tla, service_.sharding);
+      per_shard[shard].push_back(Arrival{t, c, seq, local, tenant});
     }
   }
   return per_shard;
@@ -338,7 +320,7 @@ struct VirtualEvent {
   std::uint64_t seq = 0;
   std::uint32_t attempt = 0;
   std::uint32_t la = 0;
-  TenantId tenant = 0;    ///< Tenant engine only.
+  TenantId tenant = 0;
   bool quota_paid = false;  ///< Token already charged (retries don't re-pay).
   bool parked = false;  ///< Waiting out a full queue under kBlock.
 
@@ -364,6 +346,21 @@ Cycles backoff_for(const ServiceConfig& cfg, std::uint32_t attempt) {
   return (b >> shift) != base || b > cap ? cap : b;
 }
 
+/// The book counters under `prefix` ("service." or
+/// "service.tenant.<id>."). quota_shed only exists in tenant mode.
+void publish_books(MetricsRegistry& m, const std::string& prefix,
+                   const ServiceTotals& b, bool tenant_mode) {
+  m.counter(prefix + "submitted").add(b.submitted);
+  m.counter(prefix + "accepted").add(b.accepted);
+  m.counter(prefix + "shed.overflow").add(b.shed_overflow);
+  m.counter(prefix + "shed.unavailable").add(b.shed_unavailable);
+  if (tenant_mode) m.counter(prefix + "quota_shed").add(b.quota_shed);
+  m.counter(prefix + "timed_out").add(b.timed_out);
+  m.counter(prefix + "retries").add(b.retries);
+  m.counter(prefix + "blocked").add(b.blocked);
+  m.counter(prefix + "deadline_overruns").add(b.deadline_overruns);
+}
+
 }  // namespace
 
 void ServiceFrontEnd::run_shard_cell(std::vector<Arrival> arrivals,
@@ -378,210 +375,55 @@ void ServiceFrontEnd::run_shard_cell(std::vector<Arrival> arrivals,
             });
 
   ServiceShard shard(config_, shard_params(), shard_index);
+  const TenancyConfig& ten = service_.tenancy;
+  const std::uint32_t tenant_count = directory_.tenant_count();
+  // The service discipline. The single-unlimited-tenant default executes
+  // each request at admission, FIFO behind the writes already
+  // outstanding; tenant mode queues per tenant and drains deficit-round-
+  // robin. The two differ only in how queue depth is counted, where a
+  // blocked producer parks and what admission does.
+  const bool drr = ten.active();
 
   MetricsRegistry& m = out.metrics;
   LogHistogram& latency_hist =
       m.histogram("service.request_latency_cycles");
   LogHistogram& depth_hist = m.histogram("service.queue_depth");
 
-  ServiceTotals st;
-  st.submitted = arrivals.size();
+  std::vector<ServiceTotals> books(tenant_count);
+  for (const Arrival& a : arrivals) ++books[a.tenant].submitted;
   std::uint64_t peak_depth = 0;
+
+  // Quota buckets live per (tenant, shard), so admission in this cell is
+  // a pure function of this cell's event order — shard independence,
+  // and with it --jobs byte-identity, is preserved. Rate 0 admits all.
+  std::vector<TokenBucket> buckets(
+      tenant_count, TokenBucket(ten.quota_rate, ten.quota_burst));
 
   std::priority_queue<VirtualEvent, std::vector<VirtualEvent>, LaterEvent>
       pending;
-  std::deque<Cycles> outstanding;  ///< Completion times: queued + serving.
   Cycles busy_until = 0;
   Cycles unavail_until = 0;  ///< Crash quarantine + recovery window.
   std::uint64_t parked = 0;  ///< kBlock waiters currently in the heap.
   const Cycles deadline = service_.deadline_cycles;
 
-  std::size_t next_arrival = 0;
-  while (next_arrival < arrivals.size() || !pending.empty()) {
-    VirtualEvent e;
-    if (pending.empty() ||
-        (next_arrival < arrivals.size() &&
-         std::make_tuple(arrivals[next_arrival].at,
-                         arrivals[next_arrival].client,
-                         arrivals[next_arrival].seq,
-                         std::uint32_t{0}) <= pending.top().key())) {
-      const Arrival& a = arrivals[next_arrival++];
-      e = VirtualEvent{a.at, a.at, a.client, a.seq, 0, a.la};
-    } else {
-      e = pending.top();
-      pending.pop();
-      if (e.parked) {
-        --parked;
-        e.parked = false;
-      }
-    }
+  // FIFO: completion times of the writes queued or in service.
+  std::deque<Cycles> outstanding;
 
-    const Cycles t = e.at;
-    while (!outstanding.empty() && outstanding.front() <= t) {
-      outstanding.pop_front();
-    }
-    const std::uint64_t depth = outstanding.size();
-    const Cycles deadline_abs = deadline == 0 ? 0 : e.submit + deadline;
-
-    // A request whose deadline already passed — while it waited out a
-    // backoff or a blocked queue — is a timeout, not a shed.
-    if (deadline != 0 && t > deadline_abs) {
-      ++st.timed_out;
-      continue;
-    }
-
-    // Health gate: quarantined/recovering (crash window) or dead
-    // (retirement exhausted) shards admit nothing; clients retry with
-    // bounded exponential backoff, then shed with an error.
-    if (shard.dead() || t < unavail_until) {
-      if (!shard.dead() && e.attempt < service_.max_retries) {
-        ++st.retries;
-        e.at = t + backoff_for(service_, e.attempt);
-        ++e.attempt;
-        pending.push(e);
-      } else {
-        ++st.shed_unavailable;
-      }
-      continue;
-    }
-
-    // Back-pressure gate: the bounded queue is full.
-    if (depth >= service_.queue_capacity) {
-      if (service_.overflow == OverflowPolicy::kBlock) {
-        // The producer waits for a projected slot: the i-th waiter needs
-        // i+1 completions, which land at the queued completion times and
-        // then every service_cycles once the queue drains FIFO. Waking
-        // each waiter at its own slot (instead of waking the whole
-        // backlog at the next completion) keeps the engine linear; a
-        // waiter that wakes while the queue is still full — a crash
-        // penalty shifted the schedule — simply re-parks at a fresh
-        // estimate.
-        ++st.blocked;
-        const std::uint64_t slot = parked;
-        e.at = slot < depth
-                   ? outstanding[static_cast<std::size_t>(slot)]
-                   : busy_until +
-                         service_.service_cycles * (slot - depth + 1);
-        e.parked = true;
-        ++parked;
-        pending.push(e);
-      } else if (e.attempt < service_.max_retries) {
-        ++st.retries;
-        e.at = t + backoff_for(service_, e.attempt);
-        ++e.attempt;
-        pending.push(e);
-      } else {
-        ++st.shed_overflow;
-      }
-      continue;
-    }
-
-    // Admission: FIFO service behind the writes already outstanding.
-    const Cycles start = std::max(t, busy_until);
-    Cycles completion = start + service_.service_cycles;
-    if (deadline != 0 && completion > deadline_abs) {
-      // Would miss its deadline even if nothing goes wrong: reject now
-      // instead of burning device writes on a dead-on-arrival request.
-      ++st.timed_out;
-      continue;
-    }
-
-    const ShardExecOutcome ex = shard.execute(LogicalPageAddr(e.la));
-    if (ex.crashed) {
-      completion += ex.penalty_cycles;
-      unavail_until = completion;
-      if (deadline != 0 && completion > deadline_abs) {
-        ++st.deadline_overruns;
-      }
-    }
-    ++st.accepted;
-    latency_hist.add(completion - e.submit);
-    depth_hist.add(depth + 1);
-    peak_depth = std::max(peak_depth, depth + 1);
-    busy_until = completion;
-    outstanding.push_back(completion);
-  }
-
-  ShardReport& rep = out.report;
-  rep.shard = shard_index;
-  rep.final_health = shard.health();
-  rep.dead = shard.dead();
-  rep.totals = st;
-  rep.peak_queue_depth = peak_depth;
-  rep.outcome = shard.outcome();
-  rep.journal_bytes = shard.journal_lifetime_bytes();
-  rep.state_digest = shard.state_digest();
-  rep.history_verified =
-      service_.verify_final_state && shard.verify_accepted_history();
-  rep.cache_hit_rate = shard.cache_hit_rate();
-
-  shard.publish_metrics(m);
-  m.counter("service.submitted").add(st.submitted);
-  m.counter("service.accepted").add(st.accepted);
-  m.counter("service.shed.overflow").add(st.shed_overflow);
-  m.counter("service.shed.unavailable").add(st.shed_unavailable);
-  m.counter("service.timed_out").add(st.timed_out);
-  m.counter("service.retries").add(st.retries);
-  m.counter("service.blocked").add(st.blocked);
-  m.counter("service.deadline_overruns").add(st.deadline_overruns);
-  m.gauge("service.queue_depth_peak").set(static_cast<double>(peak_depth));
-}
-
-void ServiceFrontEnd::run_shard_cell_drr(std::vector<Arrival> arrivals,
-                                         std::uint32_t shard_index,
-                                         ShardCellResult& out) const {
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const Arrival& a, const Arrival& b) {
-              return std::tie(a.at, a.client, a.seq) <
-                     std::tie(b.at, b.client, b.seq);
-            });
-
-  ServiceShard shard(config_, shard_params(), shard_index);
-  const TenancyConfig& ten = service_.tenancy;
-  const std::uint32_t tenant_count = ten.tenants;
-
-  MetricsRegistry& m = out.metrics;
-  LogHistogram& latency_hist =
-      m.histogram("service.request_latency_cycles");
-  LogHistogram& depth_hist = m.histogram("service.queue_depth");
-
-  ServiceTotals st;
-  std::vector<ServiceTotals> tt(tenant_count);
-  st.submitted = arrivals.size();
-  for (const Arrival& a : arrivals) ++tt[a.tenant].submitted;
-  std::uint64_t peak_depth = 0;
-
-  // Per-tenant admission state: FIFO queue, quota bucket, DRR deficit.
-  // Buckets live per (tenant, shard), so admission in this cell is a
-  // pure function of this cell's event order — shard independence, and
-  // with it --jobs byte-identity, is preserved.
+  // DRR: per-tenant FIFOs and deficits. Exactly one tenant drain is in
+  // flight at a time; its requests are "in service" until drain_done,
+  // when the next DRR turn starts.
   struct Queued {
     Cycles submit = 0;
     std::uint32_t la = 0;
   };
   std::vector<std::deque<Queued>> tenant_q(tenant_count);
-  std::vector<TokenBucket> buckets;
-  buckets.reserve(tenant_count);
-  for (std::uint32_t t = 0; t < tenant_count; ++t) {
-    buckets.emplace_back(ten.quota_rate, ten.quota_burst);
-  }
   std::vector<std::uint64_t> deficit(tenant_count, 0);
   std::uint64_t queued_total = 0;
   std::uint32_t rr = 0;  ///< DRR cursor.
-
-  std::priority_queue<VirtualEvent, std::vector<VirtualEvent>, LaterEvent>
-      pending;
-  Cycles busy_until = 0;
-  Cycles unavail_until = 0;
-  const Cycles deadline = service_.deadline_cycles;
-
-  // Exactly one tenant drain is in flight at a time; its requests are
-  // "in service" until drain_done, when the next DRR turn starts.
   bool in_drain = false;
   Cycles drain_done = 0;
   std::uint64_t in_service = 0;
-
-  std::vector<Queued> batch;
+  std::vector<Cycles> submits;
   std::vector<LogicalPageAddr> las;
 
   // One DRR turn: pick the next tenant with queued work, top up its
@@ -598,8 +440,9 @@ void ServiceFrontEnd::run_shard_cell_drr(std::vector<Arrival> arrivals,
         }
       }
       std::deque<Queued>& q = tenant_q[chosen];
+      ServiceTotals& book = books[chosen];
       deficit[chosen] += ten.drr_quantum;
-      batch.clear();
+      submits.clear();
       las.clear();
       while (deficit[chosen] > 0 && !q.empty()) {
         const Queued item = q.front();
@@ -608,36 +451,32 @@ void ServiceFrontEnd::run_shard_cell_drr(std::vector<Arrival> arrivals,
         if (deadline != 0 && t > item.submit + deadline) {
           // Expired while queued — a timeout, not charged to the
           // tenant's deficit.
-          ++st.timed_out;
-          ++tt[chosen].timed_out;
+          ++book.timed_out;
           continue;
         }
-        batch.push_back(item);
+        submits.push_back(item.submit);
         las.push_back(LogicalPageAddr(item.la));
         --deficit[chosen];
       }
       if (q.empty()) deficit[chosen] = 0;  // DRR: an idle tenant forfeits.
       rr = (chosen + 1) % tenant_count;
-      if (batch.empty()) continue;
+      if (las.empty()) continue;
 
       const ShardBatchOutcome bo =
           shard.execute_batch(las.data(), las.size());
       Cycles comp = std::max(t, busy_until);
-      for (std::size_t p = 0; p < batch.size(); ++p) {
+      for (std::size_t p = 0; p < las.size(); ++p) {
         if (p >= bo.executed) {
           // The shard died mid-batch; the remainder was never written.
-          ++st.shed_unavailable;
-          ++tt[chosen].shed_unavailable;
+          ++book.shed_unavailable;
           continue;
         }
         comp += service_.service_cycles + bo.penalty_cycles[p];
         if (bo.penalty_cycles[p] > 0) unavail_until = comp;
-        ++st.accepted;
-        ++tt[chosen].accepted;
-        latency_hist.add(comp - batch[p].submit);
-        if (deadline != 0 && comp > batch[p].submit + deadline) {
-          ++st.deadline_overruns;
-          ++tt[chosen].deadline_overruns;
+        ++book.accepted;
+        latency_hist.add(comp - submits[p]);
+        if (deadline != 0 && comp > submits[p] + deadline) {
+          ++book.deadline_overruns;
         }
       }
       busy_until = std::max(busy_until, comp);
@@ -687,16 +526,27 @@ void ServiceFrontEnd::run_shard_cell_drr(std::vector<Arrival> arrivals,
     } else {
       e = pending.top();
       pending.pop();
-      e.parked = false;
+      if (e.parked) {
+        --parked;
+        e.parked = false;
+      }
     }
 
     const Cycles t = e.at;
-    const std::uint64_t depth = queued_total + in_service;
+    ServiceTotals& book = books[e.tenant];
+    while (!outstanding.empty() && outstanding.front() <= t) {
+      outstanding.pop_front();
+    }
+    // Discipline point 1: FIFO counts the writes not yet completed; DRR
+    // the requests queued across all tenants plus the drain in flight.
+    const std::uint64_t depth =
+        drr ? queued_total + in_service : outstanding.size();
     const Cycles deadline_abs = deadline == 0 ? 0 : e.submit + deadline;
 
+    // A request whose deadline already passed — while it waited out a
+    // backoff or a blocked queue — is a timeout, not a shed.
     if (deadline != 0 && t > deadline_abs) {
-      ++st.timed_out;
-      ++tt[e.tenant].timed_out;
+      ++book.timed_out;
       continue;
     }
 
@@ -705,72 +555,118 @@ void ServiceFrontEnd::run_shard_cell_drr(std::vector<Arrival> arrivals,
     // Rejection is a terminal policy outcome — no retry.
     if (!e.quota_paid) {
       if (!buckets[e.tenant].try_take(t)) {
-        ++st.quota_shed;
-        ++tt[e.tenant].quota_shed;
+        ++book.quota_shed;
         continue;
       }
       e.quota_paid = true;
     }
 
-    // Health gate, exactly as the legacy engine.
+    // Health gate: quarantined/recovering (crash window) or dead
+    // (retirement exhausted) shards admit nothing; clients retry with
+    // bounded exponential backoff, then shed with an error.
     if (shard.dead() || t < unavail_until) {
       if (!shard.dead() && e.attempt < service_.max_retries) {
-        ++st.retries;
-        ++tt[e.tenant].retries;
+        ++book.retries;
         e.at = t + backoff_for(service_, e.attempt);
         ++e.attempt;
         pending.push(e);
       } else {
-        ++st.shed_unavailable;
-        ++tt[e.tenant].shed_unavailable;
+        ++book.shed_unavailable;
       }
       continue;
     }
 
-    // Back-pressure gate: total outstanding (queued across all tenants
-    // plus the drain in flight) against the shared queue capacity.
+    // Back-pressure gate: the bounded queue is full.
     if (depth >= service_.queue_capacity) {
       if (service_.overflow == OverflowPolicy::kBlock) {
-        // Park until the active drain completes; capacity can only free
-        // then. drain_done > t here because completions fire first on
-        // ties, so the waiter always makes progress.
-        ++st.blocked;
-        ++tt[e.tenant].blocked;
-        e.at = in_drain ? drain_done : t + 1;
+        ++book.blocked;
+        if (drr) {
+          // Discipline point 2: park until the active drain completes;
+          // capacity can only free then. drain_done > t here because
+          // completions fire first on ties, so the waiter always makes
+          // progress.
+          e.at = in_drain ? drain_done : t + 1;
+        } else {
+          // The producer waits for a projected slot: the i-th waiter
+          // needs i+1 completions, which land at the queued completion
+          // times and then every service_cycles once the queue drains
+          // FIFO. Waking each waiter at its own slot (instead of waking
+          // the whole backlog at the next completion) keeps the engine
+          // linear; a waiter that wakes while the queue is still full —
+          // a crash penalty shifted the schedule — simply re-parks at a
+          // fresh estimate.
+          const std::uint64_t slot = parked;
+          e.at = slot < depth
+                     ? outstanding[static_cast<std::size_t>(slot)]
+                     : busy_until +
+                           service_.service_cycles * (slot - depth + 1);
+        }
         e.parked = true;
+        ++parked;
         pending.push(e);
       } else if (e.attempt < service_.max_retries) {
-        ++st.retries;
-        ++tt[e.tenant].retries;
+        ++book.retries;
         e.at = t + backoff_for(service_, e.attempt);
         ++e.attempt;
         pending.push(e);
       } else {
-        ++st.shed_overflow;
-        ++tt[e.tenant].shed_overflow;
+        ++book.shed_overflow;
       }
       continue;
     }
 
-    // Admission: join the tenant's FIFO; the DRR drain picks it up.
-    tenant_q[e.tenant].push_back(Queued{e.submit, e.la});
-    ++queued_total;
+    // Discipline point 3: admission.
+    if (drr) {
+      // Join the tenant's FIFO; a DRR drain picks it up.
+      tenant_q[e.tenant].push_back(Queued{e.submit, e.la});
+      ++queued_total;
+    } else {
+      // Execute now, FIFO behind the writes already outstanding.
+      Cycles completion =
+          std::max(t, busy_until) + service_.service_cycles;
+      if (deadline != 0 && completion > deadline_abs) {
+        // Would miss its deadline even if nothing goes wrong: reject now
+        // instead of burning device writes on a dead-on-arrival request.
+        ++book.timed_out;
+        continue;
+      }
+      const ShardExecOutcome ex = shard.execute(LogicalPageAddr(e.la));
+      if (ex.crashed) {
+        completion += ex.penalty_cycles;
+        unavail_until = completion;
+        if (deadline != 0 && completion > deadline_abs) {
+          ++book.deadline_overruns;
+        }
+      }
+      ++book.accepted;
+      latency_hist.add(completion - e.submit);
+      busy_until = completion;
+      outstanding.push_back(completion);
+    }
     depth_hist.add(depth + 1);
     peak_depth = std::max(peak_depth, depth + 1);
-    if (!in_drain) start_drain(t);
+    if (drr && !in_drain) start_drain(t);
   }
 
   // A shard that died mid-run strands whatever was still queued.
   for (std::uint32_t t = 0; t < tenant_count; ++t) {
-    st.shed_unavailable += tenant_q[t].size();
-    tt[t].shed_unavailable += tenant_q[t].size();
+    books[t].shed_unavailable += tenant_q[t].size();
   }
+  finalize_shard(shard, books, peak_depth, out);
+}
 
+void ServiceFrontEnd::finalize_shard(const ServiceShard& shard,
+                                     const std::vector<ServiceTotals>& books,
+                                     std::uint64_t peak_depth,
+                                     ShardCellResult& out) const {
+  // Tenant rows, quota_shed and the per-tenant counters exist only in
+  // tenant mode: the single-tenant default keeps the pre-tenant shape.
+  const bool tenant_mode = service_.tenancy.active();
   ShardReport& rep = out.report;
-  rep.shard = shard_index;
+  rep.shard = shard.index();
   rep.final_health = shard.health();
   rep.dead = shard.dead();
-  rep.totals = st;
+  for (const ServiceTotals& b : books) rep.totals.add(b);
   rep.peak_queue_depth = peak_depth;
   rep.outcome = shard.outcome();
   rep.journal_bytes = shard.journal_lifetime_bytes();
@@ -779,34 +675,17 @@ void ServiceFrontEnd::run_shard_cell_drr(std::vector<Arrival> arrivals,
       service_.verify_final_state && shard.verify_accepted_history();
   rep.cache_hit_rate = shard.cache_hit_rate();
   rep.directory_verified = shard.directory_verified();
-  rep.tenants.reserve(tenant_count);
-  for (std::uint32_t t = 0; t < tenant_count; ++t) {
-    rep.tenants.push_back(
-        TenantReport{t, tt[t], directory_.tenant_pages(t)});
-  }
 
+  MetricsRegistry& m = out.metrics;
   shard.publish_metrics(m);
-  m.counter("service.submitted").add(st.submitted);
-  m.counter("service.accepted").add(st.accepted);
-  m.counter("service.shed.overflow").add(st.shed_overflow);
-  m.counter("service.shed.unavailable").add(st.shed_unavailable);
-  m.counter("service.quota_shed").add(st.quota_shed);
-  m.counter("service.timed_out").add(st.timed_out);
-  m.counter("service.retries").add(st.retries);
-  m.counter("service.blocked").add(st.blocked);
-  m.counter("service.deadline_overruns").add(st.deadline_overruns);
+  publish_books(m, "service.", rep.totals, tenant_mode);
   m.gauge("service.queue_depth_peak").set(static_cast<double>(peak_depth));
-  for (std::uint32_t t = 0; t < tenant_count; ++t) {
-    const std::string ns = "service.tenant." + std::to_string(t) + ".";
-    m.counter(ns + "submitted").add(tt[t].submitted);
-    m.counter(ns + "accepted").add(tt[t].accepted);
-    m.counter(ns + "shed.overflow").add(tt[t].shed_overflow);
-    m.counter(ns + "shed.unavailable").add(tt[t].shed_unavailable);
-    m.counter(ns + "quota_shed").add(tt[t].quota_shed);
-    m.counter(ns + "timed_out").add(tt[t].timed_out);
-    m.counter(ns + "retries").add(tt[t].retries);
-    m.counter(ns + "blocked").add(tt[t].blocked);
-    m.counter(ns + "deadline_overruns").add(tt[t].deadline_overruns);
+  if (!tenant_mode) return;
+  for (TenantId t = 0; t < books.size(); ++t) {
+    rep.tenants.push_back(
+        TenantReport{t, books[t], directory_.tenant_pages(t)});
+    publish_books(m, "service.tenant." + std::to_string(t) + ".", books[t],
+                  true);
   }
 }
 
@@ -815,9 +694,20 @@ ServiceRunResult ServiceFrontEnd::assemble(
   ServiceRunResult result;
   result.shards.reserve(cells.size());
   std::vector<std::uint8_t> digest_bytes;
+  if (service_.tenancy.active()) {
+    for (TenantId t = 0; t < directory_.tenant_count(); ++t) {
+      result.tenants.push_back(
+          TenantReport{t, ServiceTotals{}, directory_.tenant_pages(t)});
+    }
+  }
   for (ShardCellResult& cell : cells) {
     const ShardReport& rep = cell.report;
     result.totals.add(rep.totals);
+    // The accounting identity holds per tenant across shards exactly as
+    // it does per shard and in aggregate.
+    for (const TenantReport& tr : rep.tenants) {
+      result.tenants[tr.tenant].totals.add(tr.totals);
+    }
     result.chaos_totals.crashes += rep.outcome.crashes;
     result.chaos_totals.recoveries += rep.outcome.recoveries;
     result.chaos_totals.rollbacks += rep.outcome.rollbacks;
@@ -835,24 +725,6 @@ ServiceRunResult ServiceFrontEnd::assemble(
     result.shards.push_back(rep);
   }
   result.service_digest = crc32(digest_bytes.data(), digest_bytes.size());
-
-  // Tenant mode: aggregate per-tenant books across shards. The
-  // accounting identity must hold per tenant here exactly as it does
-  // per shard and in aggregate.
-  if (!cells.empty() && !cells.front().report.tenants.empty()) {
-    const std::size_t tenant_count = cells.front().report.tenants.size();
-    result.tenants.resize(tenant_count);
-    for (std::size_t t = 0; t < tenant_count; ++t) {
-      result.tenants[t].tenant = static_cast<TenantId>(t);
-      result.tenants[t].pages =
-          directory_.tenant_pages(static_cast<TenantId>(t));
-    }
-    for (const ShardCellResult& cell : cells) {
-      for (const TenantReport& tr : cell.report.tenants) {
-        result.tenants[tr.tenant].totals.add(tr.totals);
-      }
-    }
-  }
 
   const LogHistogram* lat =
       result.metrics.find_histogram("service.request_latency_cycles");
@@ -874,11 +746,7 @@ ServiceRunResult ServiceFrontEnd::run_virtual(SimRunner& runner) const {
   for (std::uint32_t s = 0; s < service_.shards; ++s) {
     grid.push_back(
         [this, s, arrivals = std::move(per_shard[s]), &cells]() mutable {
-          if (service_.tenancy.active()) {
-            run_shard_cell_drr(std::move(arrivals), s, cells[s]);
-          } else {
-            run_shard_cell(std::move(arrivals), s, cells[s]);
-          }
+          run_shard_cell(std::move(arrivals), s, cells[s]);
           return cells[s].report.totals.accepted;
         });
   }
@@ -895,254 +763,48 @@ struct RtItem {
   std::uint64_t deadline_ns = 0;  ///< 0 = none.
 };
 
-/// Client-side per-shard tallies, merged under a mutex at exit.
-struct RtClientTotals {
-  std::uint64_t submitted = 0;
-  std::uint64_t shed_overflow = 0;
-  std::uint64_t shed_unavailable = 0;
-  std::uint64_t quota_shed = 0;  ///< Tenant mode only.
-  std::uint64_t retries = 0;
-  std::uint64_t blocked = 0;
+/// Client-side tallies for one (shard, tenant) lane.
+struct RtClientBooks {
+  ServiceTotals totals;  ///< submitted, sheds, quota_shed, retries, blocked.
   std::uint64_t peak_queue_depth = 0;
+};
+
+/// Worker-side tallies for one lane, written only by its shard's worker.
+struct RtWorkerBooks {
+  ServiceTotals totals;  ///< accepted, timed_out, overruns, dead sheds.
+  LogHistogram latency_ns;
 };
 
 }  // namespace
 
 ServiceRunResult ServiceFrontEnd::run_realtime() const {
-  if (service_.tenancy.active()) return run_realtime_tenant();
-  const std::uint32_t shards = service_.shards;
-  std::vector<std::unique_ptr<ServiceShard>> shard_objs;
-  std::vector<std::unique_ptr<BoundedMpscQueue<RtItem>>> queues;
-  shard_objs.reserve(shards);
-  queues.reserve(shards);
-  const ShardParams params = shard_params();
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    shard_objs.push_back(
-        std::make_unique<ServiceShard>(config_, params, s));
-    queues.push_back(
-        std::make_unique<BoundedMpscQueue<RtItem>>(service_.queue_capacity));
-  }
-
-  // Worker-side results: one slot per shard, written only by its worker.
-  struct WorkerSlot {
-    std::uint64_t accepted = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t deadline_overruns = 0;
-    std::uint64_t shed_dead = 0;  ///< Popped after the shard died.
-    LogHistogram latency_ns;
-  };
-  std::vector<WorkerSlot> worker(shards);
-
-  std::mutex client_mu;
-  std::vector<RtClientTotals> client_totals(shards);
-
-  const std::uint64_t t0 = now_ns();
-
-  std::vector<std::thread> worker_threads;
-  worker_threads.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    worker_threads.emplace_back([&, s] {
-      ServiceShard& shard = *shard_objs[s];
-      BoundedMpscQueue<RtItem>& q = *queues[s];
-      WorkerSlot& slot = worker[s];
-      std::vector<RtItem> batch;
-      batch.reserve(kWorkerDrainBatch);
-      std::uint64_t now = now_ns();
-      while (q.pop_batch(batch, kWorkerDrainBatch) > 0) {
-        for (const RtItem& item : batch) {
-          if (shard.dead()) {
-            // The shard failed after this request was queued: surface
-            // the same unavailability error a pre-queue check would.
-            ++slot.shed_dead;
-            continue;
-          }
-          if (item.deadline_ns != 0 && now > item.deadline_ns) {
-            ++slot.timed_out;
-            continue;
-          }
-          shard.execute(LogicalPageAddr(item.la));
-          now = now_ns();
-          const std::uint64_t latency = now - item.submit_ns;
-          slot.latency_ns.add(latency);
-          if (item.deadline_ns != 0 && now > item.deadline_ns) {
-            ++slot.deadline_overruns;
-          }
-          ++slot.accepted;
-        }
-      }
-    });
-  }
-
-  std::vector<std::thread> client_threads;
-  client_threads.reserve(service_.clients);
-  for (std::uint32_t c = 0; c < service_.clients; ++c) {
-    client_threads.emplace_back([&, c] {
-      const ClientSeeds seeds = client_seeds(config_.seed, c);
-      FleetStream stream(service_.workload, global_pages_, seeds.workload);
-      std::vector<std::vector<RtItem>> staging(shards);
-      for (auto& buf : staging) buf.reserve(kClientFlushBatch);
-      std::vector<RtClientTotals> local(shards);
-
-      const auto flush = [&](std::uint32_t s) {
-        std::vector<RtItem>& buf = staging[s];
-        if (buf.empty()) return;
-        BoundedMpscQueue<RtItem>& q = *queues[s];
-        RtClientTotals& tl = local[s];
-        tl.submitted += buf.size();
-        ServiceShard& shard = *shard_objs[s];
-        if (shard.dead()) {
-          tl.shed_unavailable += buf.size();
-          buf.clear();
-          return;
-        }
-        tl.peak_queue_depth = std::max<std::uint64_t>(
-            tl.peak_queue_depth, q.size() + buf.size());
-        if (service_.overflow == OverflowPolicy::kBlock) {
-          if (q.size() >= q.capacity()) ++tl.blocked;
-          // Cannot come up short: the queue only closes after every
-          // client has exited.
-          q.push_batch(buf.data(), buf.size());
-          buf.clear();
-          return;
-        }
-        std::size_t done = 0;
-        std::uint32_t attempt = 0;
-        while (done < buf.size()) {
-          const HealthState h = shard.health();
-          const bool unavailable = h == HealthState::kQuarantined ||
-                                   h == HealthState::kRecovering;
-          if (!unavailable) {
-            done += q.try_push_batch(buf.data() + done, buf.size() - done);
-            if (done == buf.size()) break;
-          }
-          if (attempt >= service_.max_retries) {
-            if (unavailable) {
-              tl.shed_unavailable += buf.size() - done;
-            } else {
-              tl.shed_overflow += buf.size() - done;
-            }
-            break;
-          }
-          ++tl.retries;
-          std::this_thread::sleep_for(std::chrono::nanoseconds(
-              backoff_for(service_, attempt)));
-          ++attempt;
-        }
-        buf.clear();
-      };
-
-      for (std::uint64_t seq = 0; seq < service_.requests_per_client;
-           ++seq) {
-        const std::uint32_t global = stream.next().value();
-        const auto [shard, local_la] = route(global);
-        const std::uint64_t submit = now_ns();
-        const std::uint64_t deadline =
-            service_.deadline_cycles == 0
-                ? 0
-                : submit + service_.deadline_cycles;
-        staging[shard].push_back(RtItem{local_la, submit, deadline});
-        if (staging[shard].size() >= kClientFlushBatch) flush(shard);
-      }
-      for (std::uint32_t s = 0; s < shards; ++s) flush(s);
-
-      std::lock_guard<std::mutex> lock(client_mu);
-      for (std::uint32_t s = 0; s < shards; ++s) {
-        client_totals[s].submitted += local[s].submitted;
-        client_totals[s].shed_overflow += local[s].shed_overflow;
-        client_totals[s].shed_unavailable += local[s].shed_unavailable;
-        client_totals[s].retries += local[s].retries;
-        client_totals[s].blocked += local[s].blocked;
-        client_totals[s].peak_queue_depth =
-            std::max(client_totals[s].peak_queue_depth,
-                     local[s].peak_queue_depth);
-      }
-    });
-  }
-
-  for (std::thread& t : client_threads) t.join();
-  for (auto& q : queues) q->close();
-  for (std::thread& t : worker_threads) t.join();
-
-  const double wall =
-      static_cast<double>(now_ns() - t0) * 1e-9;
-
-  std::vector<ShardCellResult> cells(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    ShardCellResult& cell = cells[s];
-    const ServiceShard& shard = *shard_objs[s];
-    const WorkerSlot& slot = worker[s];
-    const RtClientTotals& ct = client_totals[s];
-
-    ServiceTotals st;
-    st.submitted = ct.submitted;
-    st.accepted = slot.accepted;
-    st.shed_overflow = ct.shed_overflow;
-    st.shed_unavailable = ct.shed_unavailable + slot.shed_dead;
-    st.timed_out = slot.timed_out;
-    st.retries = ct.retries;
-    st.blocked = ct.blocked;
-    st.deadline_overruns = slot.deadline_overruns;
-
-    ShardReport& rep = cell.report;
-    rep.shard = s;
-    rep.final_health = shard.health();
-    rep.dead = shard.dead();
-    rep.totals = st;
-    rep.peak_queue_depth = ct.peak_queue_depth;
-    rep.outcome = shard.outcome();
-    rep.journal_bytes = shard.journal_lifetime_bytes();
-    rep.state_digest = shard.state_digest();
-    rep.history_verified =
-        service_.verify_final_state && shard.verify_accepted_history();
-    rep.cache_hit_rate = shard.cache_hit_rate();
-
-    MetricsRegistry& m = cell.metrics;
-    shard.publish_metrics(m);
-    m.histogram("service.request_latency_ns").merge_from(slot.latency_ns);
-    m.counter("service.submitted").add(st.submitted);
-    m.counter("service.accepted").add(st.accepted);
-    m.counter("service.shed.overflow").add(st.shed_overflow);
-    m.counter("service.shed.unavailable").add(st.shed_unavailable);
-    m.counter("service.timed_out").add(st.timed_out);
-    m.counter("service.retries").add(st.retries);
-    m.counter("service.blocked").add(st.blocked);
-    m.counter("service.deadline_overruns").add(st.deadline_overruns);
-    m.gauge("service.queue_depth_peak")
-        .set(static_cast<double>(ct.peak_queue_depth));
-  }
-
-  ServiceRunResult result = assemble(cells);
-  result.wall_seconds = wall;
-  result.requests_per_second =
-      wall > 0.0 ? static_cast<double>(result.totals.accepted) / wall : 0.0;
-  return result;
-}
-
-ServiceRunResult ServiceFrontEnd::run_realtime_tenant() const {
-  // Tenant-mode threaded run. Differences from the legacy path:
-  //  * each shard fronts one bounded queue *per tenant* (the shared
-  //    capacity split evenly), so a flooding tenant fills only its own
-  //    queue and back-pressure is tenant-local;
-  //  * client flushes pay the (tenant, shard) token-bucket quota before
-  //    touching the queue — rejected requests are quota_shed terminally;
-  //  * the shard worker drains the tenant queues deficit-round-robin and
-  //    commits each drain through execute_batch, so journaling amortizes
-  //    over the batch exactly as in the virtual engine.
+  // Each shard fronts one bounded queue ("lane") per tenant, the shared
+  // capacity split evenly, so a flooding tenant fills only its own lane
+  // and back-pressure is tenant-local. Client flushes pay the (tenant,
+  // shard) token-bucket quota before touching the lane — rejected
+  // requests are quota_shed terminally. The shard worker drains its
+  // lanes deficit-round-robin and commits each drain through
+  // execute_batch, so journaling amortizes over the drain. The
+  // single-tenant default is one lane per shard: capacity
+  // queue_capacity, drains of kWorkerDrainBatch, no quota.
   const std::uint32_t shards = service_.shards;
   const TenancyConfig& ten = service_.tenancy;
-  const std::uint32_t tenant_count = ten.tenants;
+  const std::uint32_t tenant_count = directory_.tenant_count();
   const std::size_t lanes = static_cast<std::size_t>(shards) * tenant_count;
   // Tenant-local back-pressure splits the shared capacity, but a lane
   // shallower than the drain batch would lock-step clients against the
   // worker, so the floor keeps each lane one drain deep.
   const std::size_t lane_capacity = std::min<std::size_t>(
       std::max<std::size_t>(service_.queue_capacity / tenant_count, 64),
-      std::max<std::size_t>(service_.queue_capacity, 1));
+      service_.queue_capacity);
   // Wall-clock efficiency wants whole-lane drains: the quantum sets the
   // *relative* DRR shares (uniform across tenants), so scaling it up to
   // the lane depth changes no share, only the drain granularity.
   const std::uint64_t rt_quantum =
       std::max<std::uint64_t>(ten.drr_quantum, lane_capacity);
+  const auto lane = [tenant_count](std::uint32_t s, TenantId t) {
+    return static_cast<std::size_t>(s) * tenant_count + t;
+  };
 
   std::vector<std::unique_ptr<ServiceShard>> shard_objs;
   std::vector<std::unique_ptr<BoundedMpscQueue<RtItem>>> queues;
@@ -1171,19 +833,9 @@ ServiceRunResult ServiceFrontEnd::run_realtime_tenant() const {
     gates.push_back(std::move(g));
   }
 
-  // Worker-side results, one slot per (shard, tenant), written only by
-  // that shard's worker.
-  struct WorkerSlot {
-    std::uint64_t accepted = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t deadline_overruns = 0;
-    std::uint64_t shed_dead = 0;
-    LogHistogram latency_ns;
-  };
-  std::vector<WorkerSlot> worker(lanes);
-
+  std::vector<RtWorkerBooks> worker(lanes);
   std::mutex client_mu;
-  std::vector<RtClientTotals> client_totals(lanes);
+  std::vector<RtClientBooks> client_books(lanes);  ///< Under client_mu.
 
   const std::uint64_t t0 = now_ns();
 
@@ -1200,18 +852,20 @@ ServiceRunResult ServiceFrontEnd::run_realtime_tenant() const {
       exec_items.reserve(kWorkerDrainBatch);
       exec_las.reserve(kWorkerDrainBatch);
 
-      const auto process = [&](std::uint32_t tenant) {
-        WorkerSlot& slot = worker[s * tenant_count + tenant];
+      const auto process = [&](TenantId tenant) {
+        RtWorkerBooks& slot = worker[lane(s, tenant)];
+        if (shard.dead()) {
+          // The shard failed after these requests were queued: surface
+          // the same unavailability error a pre-queue check would.
+          slot.totals.shed_unavailable += batch.size();
+          return;
+        }
         std::uint64_t now = now_ns();
         exec_items.clear();
         exec_las.clear();
         for (const RtItem& item : batch) {
-          if (shard.dead()) {
-            ++slot.shed_dead;
-            continue;
-          }
           if (item.deadline_ns != 0 && now > item.deadline_ns) {
-            ++slot.timed_out;
+            ++slot.totals.timed_out;
             continue;
           }
           exec_items.push_back(item);
@@ -1223,45 +877,46 @@ ServiceRunResult ServiceFrontEnd::run_realtime_tenant() const {
         now = now_ns();
         for (std::size_t p = 0; p < exec_items.size(); ++p) {
           if (p >= bo.executed) {
-            ++slot.shed_dead;
+            ++slot.totals.shed_unavailable;
             continue;
           }
           slot.latency_ns.add(now - exec_items[p].submit_ns);
           if (exec_items[p].deadline_ns != 0 &&
               now > exec_items[p].deadline_ns) {
-            ++slot.deadline_overruns;
+            ++slot.totals.deadline_overruns;
           }
-          ++slot.accepted;
+          ++slot.totals.accepted;
         }
       };
 
+      // A lone lane blocks in pop_batch while empty; several lanes are
+      // polled, so an empty one never holds up the others.
+      const bool poll = tenant_count > 1;
       while (true) {
         bool any = false;
-        for (std::uint32_t t = 0; t < tenant_count; ++t) {
-          BoundedMpscQueue<RtItem>& q = *queues[s * tenant_count + t];
+        for (TenantId t = 0; t < tenant_count; ++t) {
+          BoundedMpscQueue<RtItem>& q = *queues[lane(s, t)];
           deficit[t] += rt_quantum;
           const std::size_t want = static_cast<std::size_t>(
               std::min<std::uint64_t>(deficit[t], kWorkerDrainBatch));
-          if (q.try_pop_batch(batch, want) == 0) {
+          const std::size_t got = poll ? q.try_pop_batch(batch, want)
+                                       : q.pop_batch(batch, want);
+          if (got == 0) {
             deficit[t] = 0;  // DRR: an idle tenant forfeits its deficit.
             continue;
           }
           any = true;
-          deficit[t] -= batch.size();
+          deficit[t] -= got;
           process(t);
         }
-        if (!any) {
-          bool all_done = true;
-          for (std::uint32_t t = 0; t < tenant_count; ++t) {
-            BoundedMpscQueue<RtItem>& q = *queues[s * tenant_count + t];
-            if (!q.closed() || q.size() > 0) {
-              all_done = false;
-              break;
-            }
-          }
-          if (all_done) break;
-          std::this_thread::yield();
+        if (any) continue;
+        bool all_done = true;
+        for (TenantId t = 0; t < tenant_count && all_done; ++t) {
+          const BoundedMpscQueue<RtItem>& q = *queues[lane(s, t)];
+          all_done = q.closed() && q.size() == 0;
         }
+        if (all_done) break;
+        std::this_thread::yield();
       }
     });
   }
@@ -1271,19 +926,16 @@ ServiceRunResult ServiceFrontEnd::run_realtime_tenant() const {
   for (std::uint32_t c = 0; c < service_.clients; ++c) {
     client_threads.emplace_back([&, c] {
       const TenantId tenant = c % tenant_count;
-      const ClientSeeds seeds = client_seeds(config_.seed, c);
-      FleetStream stream(
-          blend_workload(ten.blend, tenant, service_.workload),
-          directory_.tenant_pages(tenant), seeds.workload);
+      FleetStream stream = client_stream(c);
       std::vector<std::vector<RtItem>> staging(shards);
       for (auto& buf : staging) buf.reserve(kClientFlushBatch);
-      std::vector<RtClientTotals> local(shards);
+      std::vector<RtClientBooks> local(shards);
 
       const auto flush = [&](std::uint32_t s) {
         std::vector<RtItem>& buf = staging[s];
         if (buf.empty()) return;
-        BoundedMpscQueue<RtItem>& q = *queues[s * tenant_count + tenant];
-        RtClientTotals& tl = local[s];
+        BoundedMpscQueue<RtItem>& q = *queues[lane(s, tenant)];
+        ServiceTotals& tl = local[s].totals;
         tl.submitted += buf.size();
         ServiceShard& shard = *shard_objs[s];
         if (shard.dead()) {
@@ -1295,7 +947,7 @@ ServiceRunResult ServiceFrontEnd::run_realtime_tenant() const {
         // bucket; the ungranted tail is quota_shed terminally.
         std::size_t admitted = buf.size();
         if (ten.quota_rate > 0) {
-          QuotaGate& gate = *gates[s * tenant_count + tenant];
+          QuotaGate& gate = *gates[lane(s, tenant)];
           std::lock_guard<std::mutex> lock(gate.mu);
           admitted = static_cast<std::size_t>(
               gate.bucket.take_up_to(buf.size(), now_ns()));
@@ -1305,10 +957,12 @@ ServiceRunResult ServiceFrontEnd::run_realtime_tenant() const {
           buf.clear();
           return;
         }
-        tl.peak_queue_depth = std::max<std::uint64_t>(
-            tl.peak_queue_depth, q.size() + admitted);
+        local[s].peak_queue_depth = std::max<std::uint64_t>(
+            local[s].peak_queue_depth, q.size() + admitted);
         if (service_.overflow == OverflowPolicy::kBlock) {
           if (q.size() >= q.capacity()) ++tl.blocked;
+          // Cannot come up short: the queue only closes after every
+          // client has exited.
           q.push_batch(buf.data(), admitted);
           buf.clear();
           return;
@@ -1356,15 +1010,10 @@ ServiceRunResult ServiceFrontEnd::run_realtime_tenant() const {
 
       std::lock_guard<std::mutex> lock(client_mu);
       for (std::uint32_t s = 0; s < shards; ++s) {
-        RtClientTotals& ct = client_totals[s * tenant_count + tenant];
-        ct.submitted += local[s].submitted;
-        ct.shed_overflow += local[s].shed_overflow;
-        ct.shed_unavailable += local[s].shed_unavailable;
-        ct.quota_shed += local[s].quota_shed;
-        ct.retries += local[s].retries;
-        ct.blocked += local[s].blocked;
-        ct.peak_queue_depth =
-            std::max(ct.peak_queue_depth, local[s].peak_queue_depth);
+        RtClientBooks& cb = client_books[lane(s, tenant)];
+        cb.totals.add(local[s].totals);
+        cb.peak_queue_depth =
+            std::max(cb.peak_queue_depth, local[s].peak_queue_depth);
       }
     });
   }
@@ -1377,69 +1026,17 @@ ServiceRunResult ServiceFrontEnd::run_realtime_tenant() const {
 
   std::vector<ShardCellResult> cells(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
-    ShardCellResult& cell = cells[s];
-    const ServiceShard& shard = *shard_objs[s];
-
-    ServiceTotals st;
+    LogHistogram& lat =
+        cells[s].metrics.histogram("service.request_latency_ns");
+    std::vector<ServiceTotals> books(tenant_count);
     std::uint64_t peak = 0;
-    MetricsRegistry& m = cell.metrics;
-    LogHistogram& lat = m.histogram("service.request_latency_ns");
-    ShardReport& rep = cell.report;
-    rep.tenants.reserve(tenant_count);
-    for (std::uint32_t t = 0; t < tenant_count; ++t) {
-      const WorkerSlot& slot = worker[s * tenant_count + t];
-      const RtClientTotals& ct = client_totals[s * tenant_count + t];
-      ServiceTotals tt;
-      tt.submitted = ct.submitted;
-      tt.accepted = slot.accepted;
-      tt.shed_overflow = ct.shed_overflow;
-      tt.shed_unavailable = ct.shed_unavailable + slot.shed_dead;
-      tt.quota_shed = ct.quota_shed;
-      tt.timed_out = slot.timed_out;
-      tt.retries = ct.retries;
-      tt.blocked = ct.blocked;
-      tt.deadline_overruns = slot.deadline_overruns;
-      st.add(tt);
-      peak = std::max(peak, ct.peak_queue_depth);
-      lat.merge_from(slot.latency_ns);
-      rep.tenants.push_back(
-          TenantReport{t, tt, directory_.tenant_pages(t)});
-      const std::string ns = "service.tenant." + std::to_string(t) + ".";
-      m.counter(ns + "submitted").add(tt.submitted);
-      m.counter(ns + "accepted").add(tt.accepted);
-      m.counter(ns + "shed.overflow").add(tt.shed_overflow);
-      m.counter(ns + "shed.unavailable").add(tt.shed_unavailable);
-      m.counter(ns + "quota_shed").add(tt.quota_shed);
-      m.counter(ns + "timed_out").add(tt.timed_out);
-      m.counter(ns + "retries").add(tt.retries);
-      m.counter(ns + "blocked").add(tt.blocked);
-      m.counter(ns + "deadline_overruns").add(tt.deadline_overruns);
+    for (TenantId t = 0; t < tenant_count; ++t) {
+      books[t] = client_books[lane(s, t)].totals;
+      books[t].add(worker[lane(s, t)].totals);
+      peak = std::max(peak, client_books[lane(s, t)].peak_queue_depth);
+      lat.merge_from(worker[lane(s, t)].latency_ns);
     }
-
-    rep.shard = s;
-    rep.final_health = shard.health();
-    rep.dead = shard.dead();
-    rep.totals = st;
-    rep.peak_queue_depth = peak;
-    rep.outcome = shard.outcome();
-    rep.journal_bytes = shard.journal_lifetime_bytes();
-    rep.state_digest = shard.state_digest();
-    rep.history_verified =
-        service_.verify_final_state && shard.verify_accepted_history();
-    rep.cache_hit_rate = shard.cache_hit_rate();
-    rep.directory_verified = shard.directory_verified();
-
-    shard.publish_metrics(m);
-    m.counter("service.submitted").add(st.submitted);
-    m.counter("service.accepted").add(st.accepted);
-    m.counter("service.shed.overflow").add(st.shed_overflow);
-    m.counter("service.shed.unavailable").add(st.shed_unavailable);
-    m.counter("service.quota_shed").add(st.quota_shed);
-    m.counter("service.timed_out").add(st.timed_out);
-    m.counter("service.retries").add(st.retries);
-    m.counter("service.blocked").add(st.blocked);
-    m.counter("service.deadline_overruns").add(st.deadline_overruns);
-    m.gauge("service.queue_depth_peak").set(static_cast<double>(peak));
+    finalize_shard(*shard_objs[s], books, peak, cells[s]);
   }
 
   ServiceRunResult result = assemble(cells);

@@ -1,50 +1,50 @@
 // Service front-end: live concurrent clients over sharded controllers.
 //
 // ServiceFrontEnd turns the batch simulator into a request-serving
-// system: C seeded clients generate write traffic over a global logical
-// address space, a sharding policy routes each request to one of S
+// system: C seeded clients generate write traffic over tenant-scoped
+// logical spaces, a sharding policy routes each request to one of S
 // independent journaled MemoryController shards (service/shard.h), and
-// the full robustness envelope sits between them — bounded submission
-// queues with a configurable overflow policy (block, or shed with an
-// error), per-request deadlines with timeout accounting,
-// bounded-exponential-backoff retry against transiently unavailable
-// shards, and the per-shard health state machine fed by chaos injection
-// and the retirement availability signal.
+// the full robustness envelope sits between them — per-tenant quotas,
+// bounded submission queues with a configurable overflow policy (block,
+// or shed with an error), per-request deadlines with timeout
+// accounting, bounded-exponential-backoff retry against transiently
+// unavailable shards, and the per-shard health state machine fed by
+// chaos injection and the retirement availability signal.
 //
-// Two execution modes share the shard and accounting code:
+// Every run has a TenantDirectory (service/tenant.h); the default is one
+// unlimited tenant owning the whole space. Both engines keep books per
+// tenant only and sum them into shard and service totals when a shard
+// finishes (finalize_shard, shared by both engines):
 //
-//  * run_virtual — seeded discrete-event simulation in virtual cycles.
-//    Arrival times, deadlines, backoff and queue occupancy are all
-//    modeled analytically per shard, and each shard is one SimRunner
-//    cell, so the whole run is a pure function of (Config,
-//    ServiceConfig): byte-identical across --jobs 1 / --jobs N and
-//    across repeated runs at a fixed seed. This is the testable mode —
-//    chaos-under-load, accounting exactness and the five recovery
-//    invariants are all asserted here.
+//  * run_virtual — seeded discrete-event simulation in virtual cycles,
+//    one shard loop per SimRunner cell, so the whole run is a pure
+//    function of (Config, ServiceConfig): byte-identical across
+//    --jobs 1 / --jobs N and across repeated runs at a fixed seed. The
+//    admission gates run in order — deadline, quota, health,
+//    back-pressure — and only the service discipline forks on
+//    TenancyConfig::active(): the single-unlimited-tenant default
+//    executes each request at admission, FIFO; tenant mode queues per
+//    tenant and drains deficit-round-robin, each drain one
+//    submit_write_batch group so journaling amortizes across it. FIFO
+//    stays for the default because the golden digests and the
+//    benchmark replay pin its output byte for byte (DESIGN.md §13).
 //
-//  * run_realtime — real threads: one worker per shard popping a
-//    BoundedMpscQueue, C client threads pushing into them, wall-clock
-//    deadlines and backoff (virtual cycles are interpreted 1:1 as
-//    nanoseconds). Reports sustained requests/s and tail latency; not
-//    deterministic, but TSan-clean.
+//  * run_realtime — real threads: one worker per shard draining one
+//    BoundedMpscQueue lane per tenant deficit-round-robin through
+//    execute_batch, C client threads staging into the lanes,
+//    wall-clock deadlines and backoff (virtual cycles are interpreted
+//    1:1 as nanoseconds). A single tenant is one lane per shard, which
+//    its worker waits on blocking. Reports sustained requests/s and
+//    tail latency; not deterministic, but TSan-clean.
 //
 // Accounting invariant, both modes: every submitted request terminates
 // in exactly one of accepted / shed (overflow or unavailable) /
 // quota_shed / timed_out, so accepted + shed + quota_shed + timed_out ==
 // submitted — retries and blocked waits are events along the way, not
-// terminal outcomes. With tenants the identity holds per tenant AND
-// aggregate.
-//
-// Multi-tenant mode (service/tenant.h): requests become {TenantId,
-// tenant-scoped page, deadline}; a TenantDirectory carves per-tenant
-// spans out of each shard's local space; admission enforces per-tenant
-// quotas (page budget + token-bucket write rate, rejections accounted
-// as quota_shed); per-shard queues are per-tenant FIFOs drained
-// deficit-round-robin so one hot tenant cannot starve the rest, and
-// each tenant drain executes as one submit_write_batch group so
-// journaling amortizes across the drain. The single-tenant default
-// (tenants == 1, no quotas) takes the legacy engine verbatim and is
-// bit-identical to the pre-tenant code.
+// terminal outcomes. The identity holds per tenant, per shard and in
+// aggregate. Tenant rows, quota_shed and the service.tenant.* counters
+// are reported only in tenant mode, so the single-tenant report keeps
+// its pre-tenant shape.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +77,7 @@ enum class OverflowPolicy : std::uint8_t {
 [[nodiscard]] ShardingPolicy parse_sharding_policy(const std::string& name);
 [[nodiscard]] OverflowPolicy parse_overflow_policy(const std::string& name);
 
-/// Multi-tenant knobs. Defaults describe exactly one unlimited tenant,
-/// which routes the front-end onto the legacy (pre-tenant) engine.
+/// Multi-tenant knobs. Defaults describe exactly one unlimited tenant.
 struct TenancyConfig {
   std::uint32_t tenants = 1;
   TenantBlend blend = TenantBlend::kUniform;
@@ -94,8 +93,9 @@ struct TenancyConfig {
   /// batches through submit_write_batch) per turn.
   std::uint64_t drr_quantum = 16;
 
-  /// Anything beyond the single-unlimited-tenant default engages the
-  /// tenant engine; the default keeps the legacy bit-identical path.
+  /// Anything beyond the single-unlimited-tenant default is tenant mode:
+  /// DRR drains in the virtual engine and per-tenant report rows. The
+  /// default keeps FIFO service and the pre-tenant report shape.
   [[nodiscard]] bool active() const {
     return tenants > 1 || quota_rate > 0 || quota_pages > 0;
   }
@@ -246,7 +246,8 @@ class ServiceFrontEnd {
   /// Validates both configs (throws std::invalid_argument).
   ServiceFrontEnd(const Config& config, const ServiceConfig& service);
 
-  /// (shard, shard-local logical page) for a global logical page. With
+  /// (shard, shard-local logical page) for a page of the full logical
+  /// space (shards * local pages), i.e. tenant 0's translation. With
   /// kHashLa two global pages in the same S-aligned block can share a
   /// local frame on one shard; the simulator stores no payloads, so
   /// aliasing only shapes the per-shard workload and is benign.
@@ -284,15 +285,20 @@ class ServiceFrontEnd {
   struct ShardCellResult;
 
   [[nodiscard]] ShardParams shard_params() const;
+  /// Client c's request stream over its tenant's private space.
+  [[nodiscard]] FleetStream client_stream(std::uint32_t client) const;
   [[nodiscard]] std::vector<std::vector<Arrival>> generate_arrivals() const;
+  /// The virtual engine's shard loop: admission gates, then FIFO or DRR
+  /// service.
   void run_shard_cell(std::vector<Arrival> arrivals, std::uint32_t shard,
                       ShardCellResult& out) const;
-  /// Tenant engine: per-tenant FIFOs, quota gates, DRR batch drains.
-  void run_shard_cell_drr(std::vector<Arrival> arrivals, std::uint32_t shard,
-                          ShardCellResult& out) const;
+  /// Sums per-tenant `books` into the ShardReport and publishes the
+  /// shard's metrics; shared by both engines.
+  void finalize_shard(const ServiceShard& shard,
+                      const std::vector<ServiceTotals>& books,
+                      std::uint64_t peak_depth, ShardCellResult& out) const;
   [[nodiscard]] ServiceRunResult assemble(
       std::vector<ShardCellResult>& cells) const;
-  [[nodiscard]] ServiceRunResult run_realtime_tenant() const;
 
   Config config_;
   ServiceConfig service_;

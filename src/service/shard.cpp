@@ -233,23 +233,11 @@ ShardBatchOutcome ServiceShard::execute_batch(const LogicalPageAddr* las,
   out.penalty_cycles.assign(count, 0);
   std::size_t i = 0;
   while (i < count && !dead()) {
-    const std::uint64_t k = accepted_ + 1;
     if (chaos_cursor_ < schedule_.size() &&
-        schedule_[chaos_cursor_].at_write <= k) {
+        schedule_[chaos_cursor_].at_write <= accepted_ + 1) {
       // A chaos event targets this write: take the single-write crash
       // path so damage windows and recovery semantics are unchanged.
-      const ChaosEvent& ev = schedule_[chaos_cursor_];
-      ++chaos_cursor_;
-      log_.push_back(las[i].value());
-      if (params_.keep_history) history_.push_back(las[i].value());
-      const ShardExecOutcome single = inject_crash(ev, las[i], k);
-      accepted_ = k;
-      out.penalty_cycles[i] = single.penalty_cycles;
-      ++out.crashes;
-      decay_degraded();
-      if (accepted_ - base_cur_ >= params_.snapshot_interval_writes) {
-        rotate_snapshots();
-      }
+      out.penalty_cycles[i] = execute(las[i]).penalty_cycles;
       ++i;
       ++out.executed;
       continue;
@@ -524,8 +512,6 @@ ShardExecOutcome ServiceShard::inject_crash(const ChaosEvent& ev,
 
   ShardExecOutcome out;
   out.crashed = true;
-  out.rolled_back = !commit_survived;
-  out.replayed = recovery.replayed_writes;
   out.penalty_cycles = params_.quarantine_cycles +
                        params_.recovery_base_cycles +
                        params_.recovery_per_replay_cycles * recovery.replayed_writes;

@@ -91,11 +91,9 @@ struct ShardParams {
 
 /// Result of one accepted write.
 struct ShardExecOutcome {
-  bool crashed = false;      ///< A chaos event hit this write.
-  bool rolled_back = false;  ///< Recovery rolled it back; it was redone.
-  std::uint64_t replayed = 0;
+  bool crashed = false;  ///< A chaos event hit this write.
   /// Virtual-time cost of the crash beyond the nominal service time:
-  /// quarantine + recovery_base + per_replay * replayed.
+  /// quarantine + recovery_base + per_replay * journal writes replayed.
   Cycles penalty_cycles = 0;
 };
 
@@ -104,7 +102,6 @@ struct ShardBatchOutcome {
   /// Writes actually committed; < count only if the shard died mid-batch
   /// (the caller re-disposes the remainder).
   std::size_t executed = 0;
-  std::uint32_t crashes = 0;
   /// Per executed write: crash penalty charged to that position (0 for
   /// clean writes) — lets the caller model per-request completion times
   /// exactly as the single-write path would.

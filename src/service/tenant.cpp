@@ -4,6 +4,7 @@
 
 #include "common/checksum.h"
 #include "common/names.h"
+#include "common/rng.h"
 #include "recovery/snapshot.h"
 
 namespace twl {
@@ -13,6 +14,13 @@ namespace {
 /// 'TDR1' — tenant directory wire format, version 1.
 constexpr std::uint32_t kDirectoryMagic = 0x54445231u;
 constexpr std::uint16_t kDirectoryVersion = 1;
+
+/// Salted mix for hash sharding: a plain modulo of the raw address would
+/// collapse to kModuloLa.
+std::uint32_t mix_la(std::uint32_t la) {
+  return static_cast<std::uint32_t>(
+      SplitMix64(0x5A1D'0000'0000'0000ULL ^ la).next());
+}
 
 }  // namespace
 
@@ -112,7 +120,7 @@ std::pair<std::uint32_t, std::uint32_t> TenantDirectory::translate(
   std::uint32_t shard = 0;
   switch (policy) {
     case ShardingPolicy::kHashLa:
-      shard = service_mix_la(tenant_la) % shards_;
+      shard = mix_la(tenant_la) % shards_;
       break;
     case ShardingPolicy::kModuloLa:
       shard = tenant_la % shards_;

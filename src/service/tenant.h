@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/types.h"
 #include "fleet/workload.h"
 
@@ -50,15 +49,6 @@ struct ServiceRequest {
   std::uint32_t la = 0;
   Cycles deadline = 0;
 };
-
-/// Salted mix for hash sharding: a plain modulo of the raw address would
-/// collapse to kModuloLa. Shared by ServiceFrontEnd::route (legacy
-/// global space) and TenantDirectory::translate (tenant spaces) so the
-/// single-tenant default routes bit-identically to the pre-tenant code.
-inline std::uint32_t service_mix_la(std::uint32_t la) {
-  return static_cast<std::uint32_t>(
-      SplitMix64(0x5A1D'0000'0000'0000ULL ^ la).next());
-}
 
 // ---------------------------------------------------------------------------
 // Tenant blends.
@@ -88,7 +78,7 @@ enum class TenantBlend : std::uint8_t {
 /// contiguous per-tenant spans. Tenant t owns local pages
 /// [base(t), base(t) + span(t)) on *every* shard, i.e. a private global
 /// space of span(t) * shards pages, striped over the shards by the
-/// sharding policy exactly like the legacy global space.
+/// sharding policy. Tenant 0's span starts at local page 0.
 class TenantDirectory {
  public:
   TenantDirectory() = default;

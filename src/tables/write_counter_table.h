@@ -3,7 +3,7 @@
 // One small saturating counter per logical page, used by TWL to decide
 // when the toss-up fires (interval-triggered toss-up, Section 4.3).
 // Section 5.4 budgets 7 bits per entry, enough for any toss-up interval
-// up to 128.
+// up to 127; TWL widens the counter to 8 bits for intervals up to 255.
 #pragma once
 
 #include <cstdint>

@@ -35,9 +35,14 @@ TossUpWl::TossUpWl(const EnduranceMap& endurance, const TwlParams& params,
                      ? endurance.pages()
                      : 0,
                  0) {
+  // The counter saturates at max_value(), so the interval must reach it
+  // at most, or the toss-up would never fire.
   assert(params_.tossup_interval >= 1);
-  assert(params_.tossup_interval <= wct_.max_value() + 1 &&
+  assert(params_.tossup_interval <= wct_.max_value() &&
          "toss-up interval must fit the WCT");
+  assert((!params_.adaptive_interval ||
+          params_.adaptive_interval_max <= wct_.max_value()) &&
+         "adaptive interval ceiling must fit the WCT");
 }
 
 std::string TossUpWl::name() const {
@@ -119,7 +124,7 @@ void TossUpWl::maybe_adapt_interval() {
   // hot, halve it when there is budget for more leveling.
   if (ratio > params_.target_swap_ratio * 1.5 &&
       interval_ < params_.adaptive_interval_max) {
-    interval_ *= 2;
+    interval_ = std::min(interval_ * 2, params_.adaptive_interval_max);
     ++interval_adaptations_;
   } else if (ratio < params_.target_swap_ratio / 1.5 && interval_ > 1) {
     interval_ /= 2;

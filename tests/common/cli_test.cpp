@@ -208,39 +208,15 @@ TEST(CliArgs, RejectUnconsumedThrowsNamingTheFlags) {
   expect_cli_error([&] { args.reject_unconsumed(); }, "tpyo");
 }
 
-// Hidden pre-canonicalization spellings still work, but are remapped to
-// the canonical name and recorded so run_cli_main can warn once per
-// alias, pointing at the spelling to migrate to.
-TEST(CliArgs, DeprecatedAliasesCanonicalizeAndAreRecorded) {
-  const auto args = make({"--threads=3", "--wl=SR"});
-  EXPECT_EQ(args.get_uint_or("jobs", 0), 3u);
-  EXPECT_EQ(args.get_or("scheme", ""), "SR");
-  // The alias spelling itself is gone from the parsed set.
-  EXPECT_FALSE(args.get("threads").has_value());
-  EXPECT_FALSE(args.get("wl").has_value());
-
-  const auto& used = args.deprecated_aliases_used();
-  ASSERT_EQ(used.size(), 2u);
-  EXPECT_EQ(used[0].first, "threads");
-  EXPECT_EQ(used[0].second, "jobs");
-  EXPECT_EQ(used[1].first, "wl");
-  EXPECT_EQ(used[1].second, "scheme");
-}
-
-TEST(CliArgs, CanonicalSpellingsRecordNoAliasUse) {
-  const auto args = make({"--jobs=2", "--scheme=TWL"});
-  EXPECT_TRUE(args.deprecated_aliases_used().empty());
-}
-
-TEST(CliArgs, EveryDeprecatedAliasMapsToItsCanonicalName) {
-  for (const auto& [alias, canonical] : deprecated_flag_aliases()) {
-    const std::string arg = "--" + alias + "=v";
-    const auto args = make({arg.c_str()});
-    EXPECT_EQ(args.get_or(canonical, ""), "v") << alias;
-    ASSERT_EQ(args.deprecated_aliases_used().size(), 1u) << alias;
-    EXPECT_EQ(args.deprecated_aliases_used()[0].first, alias);
-    EXPECT_EQ(args.deprecated_aliases_used()[0].second, canonical);
-  }
+// The pre-canonical spellings (--threads, --wl, --fmt, ...) were
+// retired: they are ordinary unknown flags now, rejected with exit 2.
+TEST(RunCliMain, RetiredAliasSpellingIsAnUnknownFlag) {
+  const char* argv[] = {"prog", "--threads=3"};
+  const int rc = run_cli_main(2, argv, "usage\n", [](const CliArgs& args) {
+    EXPECT_EQ(args.get_uint_or("jobs", 1), 1u);
+    return 0;
+  });
+  EXPECT_EQ(rc, 2);
 }
 
 TEST(RunCliMain, ReturnsBodyResultOnSuccess) {

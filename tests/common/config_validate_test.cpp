@@ -71,6 +71,15 @@ TEST(ConfigValidate, RejectsBadSchemeKnobs) {
   Config c = valid_config();
   c.twl.tossup_interval = 0;
   expect_rejects(c, "twl.tossup_interval");
+  // The WCT counter saturates at 255: a longer interval never fires.
+  c.twl.tossup_interval = kMaxTossupInterval + 1;
+  expect_rejects(c, "twl.tossup_interval");
+  c.twl.tossup_interval = kMaxTossupInterval;
+  EXPECT_NO_THROW(c.validate());
+
+  c = valid_config();
+  c.twl.adaptive_interval_max = kMaxTossupInterval + 1;
+  expect_rejects(c, "twl.adaptive_interval_max");
 
   c = valid_config();
   c.bwl.epoch_max = c.bwl.epoch_min - 1;

@@ -212,29 +212,44 @@ TEST(ServiceVirtual, OverflowPoliciesBlockOrShed) {
 
 TEST(ServiceVirtual, DeadlinesTimeOutDoomedRequests) {
   const Config config = small_config();
-  ServiceConfig s = small_service();
-  s.clients = 2;
-  s.requests_per_client = 3000;
-  s.queue_capacity = 64;
-  s.service_cycles = 800;
-  // Tighter than the queueing delay under closed-loop load: requests
-  // that would start too late are rejected as timeouts.
-  s.deadline_cycles = 2400;
-  s.overflow = OverflowPolicy::kBlock;
+  for (const std::uint32_t tenants : {1u, 2u}) {
+    ServiceConfig s = small_service();
+    s.clients = 2;
+    s.requests_per_client = 3000;
+    s.queue_capacity = 64;
+    s.service_cycles = 800;
+    // Tighter than the queueing delay under closed-loop load: requests
+    // that would start too late are rejected as timeouts.
+    s.deadline_cycles = 2400;
+    s.overflow = OverflowPolicy::kBlock;
+    s.tenancy.tenants = tenants;
 
-  const ServiceFrontEnd fe(config, s);
-  SimRunner runner(1);
-  const ServiceRunResult r = fe.run_virtual(runner);
-  EXPECT_TRUE(r.totals.accounting_exact());
-  EXPECT_GT(r.totals.timed_out, 0u);
-  EXPECT_GT(r.totals.accepted, 0u);
-  // Accepted requests finished within deadline (no chaos -> no overruns).
-  EXPECT_EQ(r.totals.deadline_overruns, 0u);
-  // The latency histogram is log-bucketed, so compare p99 against the
-  // bucket ceiling of the deadline, not the deadline itself.
-  EXPECT_LE(r.latency_p99,
-            static_cast<double>(LogHistogram::bucket_hi(
-                LogHistogram::bucket_index(s.deadline_cycles))));
+    const ServiceFrontEnd fe(config, s);
+    SimRunner runner(1);
+    const ServiceRunResult r = fe.run_virtual(runner);
+    EXPECT_TRUE(r.totals.accounting_exact()) << tenants;
+    EXPECT_GT(r.totals.timed_out, 0u) << tenants;
+    EXPECT_GT(r.totals.accepted, 0u) << tenants;
+    if (tenants == 1) {
+      // FIFO rejects a request that would finish late before writing
+      // it, so without chaos no accepted request overruns.
+      EXPECT_EQ(r.totals.deadline_overruns, 0u);
+      // The latency histogram is log-bucketed, so compare p99 against
+      // the bucket ceiling of the deadline, not the deadline itself.
+      EXPECT_LE(r.latency_p99,
+                static_cast<double>(LogHistogram::bucket_hi(
+                    LogHistogram::bucket_index(s.deadline_cycles))));
+    } else {
+      // DRR checks the deadline when a request joins its tenant's queue
+      // and again when a drain takes it; a request still in time then
+      // is written, and may finish late behind the rest of its drain.
+      for (const TenantReport& t : r.tenants) {
+        EXPECT_TRUE(t.totals.accounting_exact()) << "tenant " << t.tenant;
+        EXPECT_GT(t.totals.timed_out, 0u) << "tenant " << t.tenant;
+      }
+      EXPECT_GT(r.totals.deadline_overruns, 0u);
+    }
+  }
 }
 
 TEST(ServiceVirtual, ShardingPolicyChangesTheDigestNotTheBooks) {
@@ -278,6 +293,58 @@ TEST(ServiceRealtime, ThreadedRunBalancesItsBooks) {
       r.metrics.find_histogram("service.request_latency_ns");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->count(), r.totals.accepted);
+}
+
+// Tenant mode in real time: one lane per (shard, tenant), quota gates on
+// the client flush, shed on overflow. The books must partition exactly
+// per tenant, per shard and in aggregate. A burst below the 256-request
+// flush guarantees quota rejections however slow the host runs.
+TEST(ServiceRealtime, TenantLanesBalanceTheirBooks) {
+  const Config config = small_config();
+  ServiceConfig s;
+  s.shards = 2;
+  s.clients = 3;
+  s.requests_per_client = 5000;
+  s.queue_capacity = 32;
+  s.overflow = OverflowPolicy::kShed;
+  s.tenancy.tenants = 3;
+  s.tenancy.blend = TenantBlend::kHostile;
+  s.tenancy.quota_rate = 1;
+  s.tenancy.quota_burst = 4;
+
+  const ServiceFrontEnd fe(config, s);
+  const ServiceRunResult r = fe.run_realtime();
+  EXPECT_TRUE(r.totals.accounting_exact());
+  EXPECT_EQ(r.totals.submitted,
+            std::uint64_t{s.clients} * s.requests_per_client);
+  EXPECT_GT(r.totals.quota_shed, 0u);
+
+  ASSERT_EQ(r.tenants.size(), s.tenancy.tenants);
+  std::uint64_t tenant_submitted = 0;
+  for (const TenantReport& t : r.tenants) {
+    EXPECT_TRUE(t.totals.accounting_exact()) << "tenant " << t.tenant;
+    EXPECT_EQ(t.totals.submitted, s.requests_per_client)
+        << "tenant " << t.tenant;
+    tenant_submitted += t.totals.submitted;
+  }
+  EXPECT_EQ(tenant_submitted, r.totals.submitted);
+  ASSERT_EQ(r.shards.size(), s.shards);
+  for (const ShardReport& shard : r.shards) {
+    EXPECT_TRUE(shard.totals.accounting_exact()) << "shard " << shard.shard;
+    ASSERT_EQ(shard.tenants.size(), s.tenancy.tenants);
+    for (const TenantReport& t : shard.tenants) {
+      EXPECT_TRUE(t.totals.accounting_exact())
+          << "shard " << shard.shard << " tenant " << t.tenant;
+    }
+  }
+
+  const LogHistogram* lat =
+      r.metrics.find_histogram("service.request_latency_ns");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->count(), r.totals.accepted);
+  const Counter* quota = r.metrics.find_counter("service.quota_shed");
+  ASSERT_NE(quota, nullptr);
+  EXPECT_EQ(quota->value(), r.totals.quota_shed);
 }
 
 }  // namespace

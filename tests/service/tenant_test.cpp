@@ -144,6 +144,10 @@ TEST(TenantBlend, ParsesNamesAndRejectsUnknownOnesListingTheValidSet) {
   EXPECT_EQ(parse_tenant_blend("uniform"), TenantBlend::kUniform);
   EXPECT_EQ(parse_tenant_blend("hostile"), TenantBlend::kHostile);
   EXPECT_EQ(parse_tenant_blend("hammer"), TenantBlend::kHammer);
+  // Printing round-trips through the parser (reports print the blend).
+  for (const char* name : {"uniform", "hostile", "hammer"}) {
+    EXPECT_EQ(to_string(parse_tenant_blend(name)), name);
+  }
   try {
     (void)parse_tenant_blend("zipfish");
     FAIL() << "expected std::invalid_argument";
@@ -217,40 +221,53 @@ void expect_books_exact(const ServiceRunResult& r, std::uint32_t tenants) {
 // The headline claim: per-tenant terminal books stay exact through
 // crash/corruption chaos — crashes mid-batch, recovery, re-admission —
 // for every overflow policy x quota combination, and the whole run is
-// byte-identical across --jobs levels.
+// byte-identical across --jobs levels. A 7-write snapshot interval adds
+// snapshot rotations inside batched drains.
 TEST(TenantEngine, BooksStayExactThroughChaosForEveryPolicyCombination) {
   const Config config = small_config();
-  for (const OverflowPolicy overflow :
-       {OverflowPolicy::kBlock, OverflowPolicy::kShed}) {
-    for (const std::uint64_t quota_rate : {std::uint64_t{0}, std::uint64_t{5}}) {
-      ServiceConfig s = tenant_service(3);
-      s.overflow = overflow;
-      s.tenancy.quota_rate = quota_rate;
-      s.chaos.mean_interval_writes = 64;
-      s.chaos.corruption = true;
-      s.verify_final_state = true;
-      const ServiceFrontEnd fe(config, s);
+  struct Combo {
+    OverflowPolicy overflow;
+    std::uint64_t quota_rate;
+    std::uint64_t snapshot_interval;
+  };
+  const ServiceConfig defaults;
+  const std::uint64_t every = defaults.snapshot_interval_writes;
+  for (const Combo& combo :
+       {Combo{OverflowPolicy::kBlock, 0, every},
+        Combo{OverflowPolicy::kBlock, 5, every},
+        Combo{OverflowPolicy::kShed, 0, every},
+        Combo{OverflowPolicy::kShed, 5, every},
+        Combo{OverflowPolicy::kBlock, 0, 7}}) {
+    ServiceConfig s = tenant_service(3);
+    s.overflow = combo.overflow;
+    s.tenancy.quota_rate = combo.quota_rate;
+    s.snapshot_interval_writes = combo.snapshot_interval;
+    s.chaos.mean_interval_writes = 64;
+    s.chaos.corruption = true;
+    s.verify_final_state = true;
+    const ServiceFrontEnd fe(config, s);
 
-      SimRunner serial(1);
-      const ServiceRunResult r = fe.run_virtual(serial);
-      SimRunner parallel(3);
-      const ServiceRunResult r3 = fe.run_virtual(parallel);
-      const std::string label =
-          std::string(overflow == OverflowPolicy::kBlock ? "block" : "shed") +
-          "/quota=" + std::to_string(quota_rate);
-      EXPECT_TRUE(r == r3) << label << ": --jobs 1 vs 3 diverged";
+    SimRunner serial(1);
+    const ServiceRunResult r = fe.run_virtual(serial);
+    SimRunner parallel(3);
+    const ServiceRunResult r3 = fe.run_virtual(parallel);
+    const std::string label =
+        std::string(combo.overflow == OverflowPolicy::kBlock ? "block"
+                                                             : "shed") +
+        "/quota=" + std::to_string(combo.quota_rate) +
+        "/snapshot=" + std::to_string(combo.snapshot_interval);
+    EXPECT_TRUE(r == r3) << label << ": --jobs 1 vs 3 diverged";
 
-      expect_books_exact(r, 3);
-      EXPECT_EQ(r.totals.submitted, 3u * 2000u) << label;
-      EXPECT_GT(r.chaos_totals.crashes, 0u) << label;
-      EXPECT_EQ(r.chaos_totals.recoveries, r.chaos_totals.crashes) << label;
-      EXPECT_EQ(r.chaos_totals.invariant_failures, 0u) << label;
-      for (const ShardReport& shard : r.shards) {
-        EXPECT_TRUE(shard.history_verified)
-            << label << ": accepted-write loss on shard " << shard.shard;
-        EXPECT_TRUE(shard.directory_verified)
-            << label << ": directory damaged on shard " << shard.shard;
-      }
+    expect_books_exact(r, 3);
+    EXPECT_EQ(r.totals.submitted, 3u * 2000u) << label;
+    EXPECT_GT(r.chaos_totals.crashes, 0u) << label;
+    EXPECT_EQ(r.chaos_totals.recoveries, r.chaos_totals.crashes) << label;
+    EXPECT_EQ(r.chaos_totals.invariant_failures, 0u) << label;
+    for (const ShardReport& shard : r.shards) {
+      EXPECT_TRUE(shard.history_verified)
+          << label << ": accepted-write loss on shard " << shard.shard;
+      EXPECT_TRUE(shard.directory_verified)
+          << label << ": directory damaged on shard " << shard.shard;
     }
   }
 }

@@ -3,10 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "analysis/extrapolate.h"
 
 namespace twl {
+
+// gtest's default printer dumps a row's raw bytes, and those include the heap
+// address held by `name`. The dump becomes part of every discovered ctest
+// name, which then differs from build to build; print the row name instead.
+static void PrintTo(const ParsecBenchmark& b, std::ostream* os) {
+  *os << b.name;
+}
+
 namespace {
 
 TEST(ParsecModel, HasAll13Benchmarks) {

@@ -10,7 +10,11 @@ namespace {
 
 class TraceFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "twl_trace_test.trc";
+  // One file per test: ctest runs the tests as parallel processes.
+  std::string path_ =
+      ::testing::TempDir() + "twl_trace_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".trc";
 
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -101,6 +101,29 @@ TEST(TossUpAdaptive, IntervalStaysInBounds) {
   EXPECT_TRUE(wl.invariants_hold());
 }
 
+// Doubling 32 -> 64 -> 128 -> 256 would overshoot a 255 ceiling to an
+// interval the 8-bit WCT never counts to, and the toss-up would stop
+// firing. The doubling clamps at the ceiling, where the toss-up still
+// fires.
+TEST(TossUpAdaptive, DoublingClampsAtTheCeiling) {
+  TwlParams p = base_params(32);
+  p.adaptive_interval = true;
+  p.adaptive_interval_max = kMaxTossupInterval;
+  p.adaptation_window = 4096;
+  p.target_swap_ratio = 1e-6;  // Any swap reads as too many: double.
+  EnduranceMap map(std::vector<std::uint64_t>{1000000, 1000000});
+  TossUpWl wl(map, p, WlLatencies{}, 27, 9);
+  testing::ShadowSink sink(2);
+  for (int i = 0; i < 6 * 4096; ++i) wl.write(LogicalPageAddr(0), sink);
+  EXPECT_EQ(wl.current_interval(), kMaxTossupInterval);
+  const std::uint64_t before = wl.tossups();
+  for (std::uint32_t i = 0; i < 2 * kMaxTossupInterval; ++i) {
+    wl.write(LogicalPageAddr(0), sink);
+  }
+  EXPECT_GT(wl.tossups(), before);
+  EXPECT_FALSE(sink.first_integrity_violation(wl).has_value());
+}
+
 TEST(TossUpAdaptive, ConvergesNearTargetRatio) {
   TwlParams p = base_params(1);
   p.adaptive_interval = true;

@@ -143,7 +143,8 @@ TEST(TossUpWl, SwapPreservesBothPagesData) {
 
 TEST(TossUpWl, InterPairSwapFiresOnGlobalInterval) {
   EnduranceMap map(std::vector<std::uint64_t>(64, 1000));
-  TwlParams p = twl_params(1000000, /*interpair=*/16);
+  // The longest interval the WCT counts to: no toss-up in 160 writes.
+  TwlParams p = twl_params(kMaxTossupInterval, /*interpair=*/16);
   TossUpWl wl(map, p, WlLatencies{}, 27, 7);
   testing::ShadowSink sink(64);
   for (int i = 0; i < 160; ++i) wl.write(LogicalPageAddr(0), sink);
@@ -156,7 +157,10 @@ TEST(TossUpWl, InterPairSwapFiresOnGlobalInterval) {
 
 TEST(TossUpWl, InterPairSwapRelocatesHammeredPage) {
   EnduranceMap map(std::vector<std::uint64_t>(64, 1000));
-  TossUpWl wl(map, twl_params(1000000, 8), WlLatencies{}, 27, 8);
+  // The longest interval the WCT counts to, so the relocation is the
+  // inter-pair swaps' doing (two toss-ups in 512 writes add two homes
+  // at most).
+  TossUpWl wl(map, twl_params(kMaxTossupInterval, 8), WlLatencies{}, 27, 8);
   testing::ShadowSink sink(64);
   std::set<std::uint32_t> homes;
   for (int i = 0; i < 512; ++i) {
