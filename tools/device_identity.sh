@@ -36,6 +36,9 @@ run recovery    "$build/bench/bench_recovery" --writes 512 --trials 4 --jobs 2
 run fleet       "$build/bench/bench_fleet" --scenario baseline_zipf_twl --jobs 2
 run fleet_atk   "$build/bench/bench_fleet" --scenario attack_twl --jobs 2
 run service     "$build/bench/bench_service" --mode virtual --requests 4096 --chaos 64 --corruption --jobs 2
+# Paced: the unpaced row above mostly sheds, so this one covers the
+# accept path (journal brackets, snapshot rotation, crash recovery).
+run service_paced "$build/bench/bench_service" --mode virtual --requests 4096 --chaos 64 --corruption --gap 2000 --jobs 2
 run quickstart  "$build/examples/quickstart"
 run attack_demo "$build/examples/attack_demo"
 run crash_rec   "$build/examples/crash_recovery" --writes 200
