@@ -1,10 +1,17 @@
 // Per-operation microbenchmarks (google-benchmark): the simulation-side
-// cost of each scheme's write path, the RNGs, and the table primitives.
-// These bound how large a lifetime experiment is practical.
+// cost of each scheme's write path, the RNGs, the table primitives and
+// the recovery journal. These bound how large a lifetime experiment is
+// practical.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "pcm/device.h"
+#include "recovery/journal.h"
+#include "recovery/recovery.h"
+#include "recovery/snapshot.h"
 #include "sim/memory_controller.h"
 #include "tables/remapping_table.h"
 #include "trace/zipf.h"
@@ -90,6 +97,79 @@ void BM_RemappingSwap(benchmark::State& state) {
   }
 }
 
+/// Log size at which the journal benchmarks truncate, as a snapshot
+/// rotation would: the log stays cache-resident and bounded.
+constexpr std::size_t kJournalWindowBytes = 1 << 16;
+
+/// The single-write bracket the controller appends around every
+/// journaled demand write.
+void BM_JournalWritePair(benchmark::State& state) {
+  MetadataJournal journal;
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    journal.append_write_begin(
+        seq, LogicalPageAddr(static_cast<std::uint32_t>(seq % 4096)));
+    journal.append_write_commit(seq);
+    ++seq;
+    benchmark::DoNotOptimize(journal.bytes().data());
+    benchmark::ClobberMemory();
+    if (journal.bytes().size() >= kJournalWindowBytes) journal.truncate();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+/// One BatchBegin + BatchCommit bracket of range(0) writes; items are
+/// demand writes.
+void BM_JournalBatch(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  std::vector<LogicalPageAddr> las;
+  for (std::size_t i = 0; i < count; ++i) {
+    las.emplace_back(static_cast<std::uint32_t>(i * 97 % 4096));
+  }
+  MetadataJournal journal;
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    journal.append_batch_begin(seq, las.data(), count);
+    journal.append_batch_commit(seq, count);
+    seq += count;
+    benchmark::DoNotOptimize(journal.bytes().data());
+    benchmark::ClobberMemory();
+    if (journal.bytes().size() >= kJournalWindowBytes) journal.truncate();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * count));
+}
+
+/// recover(): restore a pristine TWL snapshot, then scan and replay a
+/// journal of range(0) committed controller writes (swap brackets
+/// included); items are replayed writes.
+void BM_Recover(benchmark::State& state) {
+  const std::uint64_t pages = 4096;
+  const auto writes = static_cast<std::uint64_t>(state.range(0));
+  const Config config = bench_config(pages);
+  const EnduranceMap map(pages, config.endurance, config.seed);
+  PcmDevice device(map);
+  const auto wl = make_wear_leveler(Scheme::kTossUpStrongWeak, map, config);
+  const std::vector<std::uint8_t> snapshot = take_snapshot(*wl);
+  MetadataJournal journal;
+  MemoryController mc(device, *wl, config, /*enable_timing=*/false);
+  mc.attach_journal(&journal);
+  XorShift64Star rng(1);
+  for (std::uint64_t i = 0; i < writes; ++i) {
+    const MemoryRequest req{
+        Op::kWrite, LogicalPageAddr(static_cast<std::uint32_t>(
+                        rng.next_below(wl->logical_pages())))};
+    mc.submit(req, 0);
+  }
+  const auto fresh =
+      make_wear_leveler(Scheme::kTossUpStrongWeak, map, config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(recover(*fresh, snapshot, journal.bytes()));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * writes));
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_SchemeWrite, NOWL, Scheme::kNoWl);
@@ -104,5 +184,8 @@ BENCHMARK(BM_Feistel8);
 BENCHMARK(BM_XorShift);
 BENCHMARK(BM_ZipfSample)->Arg(1024)->Arg(65536);
 BENCHMARK(BM_RemappingSwap);
+BENCHMARK(BM_JournalWritePair);
+BENCHMARK(BM_JournalBatch)->Arg(1)->Arg(16)->Arg(32);
+BENCHMARK(BM_Recover)->Arg(256)->Arg(4096);
 
 BENCHMARK_MAIN();

@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -123,8 +124,8 @@ class MetadataJournal {
   [[nodiscard]] std::uint64_t truncations() const { return truncations_; }
 
  private:
-  void append_record(JournalRecordType type,
-                     const std::vector<std::uint8_t>& payload);
+  /// Appends one encoded record and counts it.
+  void append_record(std::span<const std::uint8_t> record);
 
   std::vector<std::uint8_t> bytes_;
   std::uint64_t total_bytes_ = 0;

@@ -1,5 +1,7 @@
 #include "recovery/recovery.h"
 
+#include <cstddef>
+
 #include "recovery/journal.h"
 #include "recovery/snapshot.h"
 #include "wl/wear_leveler.h"
@@ -19,24 +21,29 @@ RecoveryOutcome recover(WearLeveler& wl,
 
   // First pass: group records into demand-write groups (a single write,
   // or a failure-atomic batch of them) and find which groups committed.
+  // Every group's addresses sit in one flat array, in journal order.
   // Records before the first Begin cannot occur (the journal is truncated
   // at snapshot time, between writes).
   struct PendingGroup {
-    std::vector<LogicalPageAddr> las;  ///< 1 per write in the group.
+    std::size_t first = 0;  ///< Index of the group's first address in las.
+    std::size_t count = 0;  ///< Writes in the group.
     bool committed = false;
     std::uint64_t committed_swaps = 0;
     std::uint64_t orphan_swaps = 0;
   };
+  std::vector<LogicalPageAddr> las;
   std::vector<PendingGroup> groups;
   std::uint64_t open_intents = 0;
   for (const JournalRecord& rec : scan.records) {
     switch (rec.type) {
       case JournalRecordType::kWriteBegin:
-        groups.push_back(PendingGroup{{rec.la}});
+        groups.push_back(PendingGroup{las.size(), 1});
+        las.push_back(rec.la);
         open_intents = 0;
         break;
       case JournalRecordType::kBatchBegin:
-        groups.push_back(PendingGroup{rec.batch_las});
+        groups.push_back(PendingGroup{las.size(), rec.batch_las.size()});
+        las.insert(las.end(), rec.batch_las.begin(), rec.batch_las.end());
         open_intents = 0;
         break;
       case JournalRecordType::kSwapIntent:
@@ -69,16 +76,16 @@ RecoveryOutcome recover(WearLeveler& wl,
   NullWriteSink sink;
   for (const PendingGroup& g : groups) {
     if (g.committed) {
-      for (LogicalPageAddr la : g.las) {
-        wl.write(la, sink);
-        ++outcome.replayed_writes;
+      for (std::size_t i = g.first; i < g.first + g.count; ++i) {
+        wl.write(las[i], sink);
       }
+      outcome.replayed_writes += g.count;
       outcome.committed_swaps += g.committed_swaps;
     } else {
-      if (!outcome.rolled_back_la && !g.las.empty()) {
-        outcome.rolled_back_la = g.las.front();
+      if (!outcome.rolled_back_la && g.count != 0) {
+        outcome.rolled_back_la = las[g.first];
       }
-      outcome.rolled_back_writes += g.las.size();
+      outcome.rolled_back_writes += g.count;
       outcome.orphan_swap_intents += g.orphan_swaps;
     }
   }
