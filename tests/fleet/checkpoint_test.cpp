@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/cli.h"
 #include "common/config.h"
 #include "common/rng.h"
@@ -205,6 +206,26 @@ TEST(Checkpoint, LoadForResumeSurfacesDamageAsCliError) {
   std::remove(truncated.c_str());
   std::remove(bad_magic.c_str());
   std::remove(good.c_str());
+}
+
+// The tests above check round trips and damage detection, which any
+// self-consistent field order passes. This one pins the bytes: the full
+// corruption_twl fleet (crashes, snapshot fallbacks, two rotations) at
+// day 5, size and CRC-32 as recorded before DeviceState was regrouped.
+// The CRC skips the blob's own 4-byte CRC tail: over the whole blob it
+// would be the constant CRC residue whatever the content.
+TEST(Checkpoint, BytesAtDayFiveMatchThePinnedSizeAndCrc) {
+  const Config config = small_config();
+  const Scenario& scenario =
+      ScenarioRegistry::builtin().find("corruption_twl");
+  const FleetSimulator sim(config, scenario);
+  SimRunner runner(1);
+  FleetState state = sim.fresh_state();
+  sim.advance(state, 5, runner);
+  const auto blob = CheckpointManager::serialize(config, scenario, state);
+
+  EXPECT_EQ(blob.size(), 26915u);
+  EXPECT_EQ(crc32(blob.data(), blob.size() - 4), 0x04B1821Fu);
 }
 
 }  // namespace

@@ -35,6 +35,9 @@ run degradation "$build/bench/bench_degradation" --pages 256 --endurance 2048
 run recovery    "$build/bench/bench_recovery" --writes 512 --trials 4 --jobs 2
 run fleet       "$build/bench/bench_fleet" --scenario baseline_zipf_twl --jobs 2
 run fleet_atk   "$build/bench/bench_fleet" --scenario attack_twl --jobs 2
+# Corrupting profile: covers the snapshot-damage kinds and the fallback
+# to the previous snapshot, which the two crash-only rows above never hit.
+run fleet_corrupt "$build/bench/bench_fleet" --scenario corruption_twl --jobs 2
 run service     "$build/bench/bench_service" --mode virtual --requests 4096 --chaos 64 --corruption --jobs 2
 # Paced: the unpaced row above mostly sheds, so this one covers the
 # accept path (journal brackets, snapshot rotation, crash recovery).
