@@ -3,6 +3,7 @@
 // metadata from the last snapshot plus the surviving journal prefix.
 //
 //   ./crash_recovery [--pages N] [--writes W] [--crash-at K] [--seed S]
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/report.h"
@@ -49,6 +50,9 @@ int run_impl(const twl::CliArgs& args) {
   config.validate();
   const std::uint64_t writes = args.get_uint_or("writes", 1000);
   const std::uint64_t crash_at = args.get_uint_or("crash-at", 3);
+  if (writes == 0) {
+    throw std::invalid_argument("--writes must be at least 1");
+  }
 
   ReportBuilder rep("crash_recovery",
                     parse_report_format(args.get_or("format", "text")),
@@ -170,7 +174,7 @@ int run_impl(const twl::CliArgs& args) {
   std::uint64_t ok = 0;
   constexpr std::uint64_t kTrials = 50;
   for (std::uint64_t t = 0; t < kTrials; ++t) {
-    ok += sim.run_trial(t).all_invariants_hold() ? 1 : 0;
+    ok += sim.run_trial(t).verdicts.all_hold() ? 1 : 0;
   }
   rep.note(strfmt(
       "\ncrash simulator: %llu/%llu random crash points recovered with all "

@@ -561,7 +561,7 @@ void ServiceFrontEnd::run_shard_cell(std::vector<Arrival> arrivals,
       e.quota_paid = true;
     }
 
-    // Health gate: quarantined/recovering (crash window) or dead
+    // Health gate: quarantined (crash window) or dead
     // (retirement exhausted) shards admit nothing; clients retry with
     // bounded exponential backoff, then shed with an error.
     if (shard.dead() || t < unavail_until) {
@@ -708,15 +708,7 @@ ServiceRunResult ServiceFrontEnd::assemble(
     for (const TenantReport& tr : rep.tenants) {
       result.tenants[tr.tenant].totals.add(tr.totals);
     }
-    result.chaos_totals.crashes += rep.outcome.crashes;
-    result.chaos_totals.recoveries += rep.outcome.recoveries;
-    result.chaos_totals.rollbacks += rep.outcome.rollbacks;
-    result.chaos_totals.snapshot_fallbacks += rep.outcome.snapshot_fallbacks;
-    result.chaos_totals.invariant_failures += rep.outcome.invariant_failures;
-    result.chaos_totals.replayed_writes += rep.outcome.replayed_writes;
-    for (std::size_t k = 0; k < kNumChaosKinds; ++k) {
-      result.chaos_totals.chaos_by_kind[k] += rep.outcome.chaos_by_kind[k];
-    }
+    result.chaos_totals.add(rep.outcome);
     for (int b = 0; b < 4; ++b) {
       digest_bytes.push_back(
           static_cast<std::uint8_t>(rep.state_digest >> (8 * b)));
@@ -970,9 +962,8 @@ ServiceRunResult ServiceFrontEnd::run_realtime() const {
         std::size_t done = 0;
         std::uint32_t attempt = 0;
         while (done < admitted) {
-          const HealthState h = shard.health();
-          const bool unavailable = h == HealthState::kQuarantined ||
-                                   h == HealthState::kRecovering;
+          const bool unavailable =
+              shard.health() == HealthState::kQuarantined;
           if (!unavailable) {
             done += q.try_push_batch(buf.data() + done, admitted - done);
             if (done == admitted) break;

@@ -55,7 +55,7 @@
 #include "common/config.h"
 #include "common/types.h"
 #include "fleet/chaos.h"
-#include "fleet/fleet.h"
+#include "fleet/journaled_stack.h"
 #include "fleet/workload.h"
 #include "obs/metrics.h"
 #include "service/shard.h"

@@ -1,28 +1,26 @@
-// One service shard: a journaled MemoryController stack with crash
-// recovery, chaos injection and a health state machine.
+// One service shard: a journaled stack, an accepted log and a health
+// state machine.
 //
 // A shard is the unit of failure and recovery in the service front-end
-// (service/service.h). It owns a full simulation stack — a Device over
-// its own process-variation draw, a wear-leveling scheme, a journaled
-// MemoryController — plus the persisted recovery artifacts (current and
-// previous snapshot, retained journal span, wear baselines) the fleet
-// harness introduced, and a seeded chaos schedule that crashes it while
-// requests are in flight.
+// (service/service.h). Its JournaledStack (fleet/journaled_stack.h) holds
+// the device over its own process-variation draw, the wear-leveling
+// scheme, the journaled MemoryController, the persisted recovery
+// artifacts and a seeded chaos schedule that crashes the shard while
+// requests are in flight; a chaos event runs the stack's crash protocol.
 //
 // Unlike a fleet device, a shard has no workload stream of its own: the
 // addresses it commits arrive from live clients, so the reference
 // re-execution behind the five recovery invariants replays an *accepted
 // log* — the shard records every accepted local address since the
-// previous snapshot base, and recovery verification re-runs exactly that
-// suffix. The log is trimmed at every snapshot rotation, so its length
-// is bounded by two snapshot intervals.
+// previous snapshot base and hands the stack exactly the suffix the used
+// snapshot needs, followed by a seeded probe. The log is trimmed at every
+// snapshot rotation, so its length is bounded by two snapshot intervals.
 //
-// Health state machine (healthy → degraded → quarantined → recovering):
-//  * a chaos crash moves the shard to kQuarantined, then kRecovering
-//    while the snapshot+journal recovery attempt chain runs, then
-//    kDegraded for the next degraded_window_writes accepted writes
-//    before returning to kHealthy;
-//  * the PR-1 retirement feed (MemoryController::availability()) makes a
+// Health state machine (healthy → degraded → quarantined):
+//  * a chaos crash holds the shard kQuarantined while the stack recovers,
+//    then kDegraded for the next degraded_window_writes accepted writes
+//    before it returns to kHealthy;
+//  * the retirement feed (MemoryController::availability()) makes a
 //    shard with retired pages sticky-kDegraded, and a shard whose device
 //    failed with the spare pool exhausted permanently kQuarantined
 //    (dead()) — the front-end sheds its traffic and the rest of the
@@ -35,29 +33,22 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
-#include "common/rng.h"
 #include "fleet/chaos.h"
-#include "fleet/fleet.h"
-#include "device/device.h"
-#include "pcm/endurance.h"
-#include "recovery/journal.h"
+#include "fleet/journaled_stack.h"
 #include "sim/memory_controller.h"
 
 namespace twl {
 
 class MetricsRegistry;
-class WearLeveler;
 
 enum class HealthState : std::uint8_t {
   kHealthy = 0,
   kDegraded,
   kQuarantined,
-  kRecovering,
 };
 
 [[nodiscard]] std::string to_string(HealthState s);
@@ -114,7 +105,6 @@ class ServiceShard {
   /// endurance / scheme / chaos streams from (seed, index).
   ServiceShard(const Config& config, const ShardParams& params,
                std::uint32_t index);
-  ~ServiceShard();
 
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
@@ -137,14 +127,18 @@ class ServiceShard {
                                   std::size_t count);
 
   [[nodiscard]] std::uint32_t index() const { return index_; }
-  [[nodiscard]] std::uint64_t logical_pages() const;
+  [[nodiscard]] std::uint64_t logical_pages() const {
+    return stack_.scheme().logical_pages();
+  }
   [[nodiscard]] std::uint64_t accepted() const { return accepted_; }
-  [[nodiscard]] const DeviceOutcome& outcome() const { return outcome_; }
+  [[nodiscard]] const DeviceOutcome& outcome() const {
+    return stack_.outcome();
+  }
   [[nodiscard]] const MemoryController& controller() const {
-    return *controller_;
+    return stack_.controller();
   }
   [[nodiscard]] std::uint64_t journal_lifetime_bytes() const {
-    return journal_.total_bytes_appended();
+    return stack_.journal().total_bytes_appended();
   }
 
   /// Concurrent-safe health probes (relaxed atomics; the value is a
@@ -173,7 +167,7 @@ class ServiceShard {
   /// Hybrid backend only: current DRAM cache hit rate; negative when the
   /// backing device has no cache.
   [[nodiscard]] double cache_hit_rate() const {
-    return controller_->availability_signal().cache_hit_rate;
+    return stack_.controller().availability_signal().cache_hit_rate;
   }
 
   /// Zero accepted-write loss, end to end: re-executes the entire
@@ -188,15 +182,15 @@ class ServiceShard {
   void publish_metrics(MetricsRegistry& m) const;
 
  private:
-  struct CrashContext;
-
-  [[nodiscard]] std::unique_ptr<WearLeveler> fresh_scheme() const;
-  [[nodiscard]] std::uint32_t log_at(std::uint64_t n) const;
-  ShardExecOutcome inject_crash(const ChaosEvent& ev, LogicalPageAddr la,
-                                std::uint64_t k);
-  [[nodiscard]] bool verify_invariants(const CrashContext& ctx,
-                                       const WearLeveler& recovered) const;
-  void rotate_snapshots();
+  /// The stack's crash protocol plus the shard's part: quarantine during
+  /// it, the reference addresses, the log trim, the degraded window and
+  /// the directory re-check.
+  ShardExecOutcome crash(const ChaosEvent& ev, LogicalPageAddr la,
+                         std::uint64_t k);
+  /// Stack rotation at accepted_ once the snapshot interval is full.
+  void rotate_if_due();
+  /// Drops the accepted log up to write `base`.
+  void trim_log(std::uint64_t base);
   void feed_availability();
   /// Counts one accepted write against the post-recovery degraded
   /// window; shared by execute() and execute_batch().
@@ -206,42 +200,22 @@ class ServiceShard {
   void verify_directory_blob();
 
   std::uint32_t index_;
-  Config config_;  ///< Per-shard: service config with this shard's seed.
   ShardParams params_;
-  EnduranceMap endurance_;
-  std::unique_ptr<Device> device_;
-  std::unique_ptr<WearLeveler> wl_;
-  std::unique_ptr<MemoryController> controller_;
-  MetadataJournal journal_;
-  std::vector<ChaosEvent> schedule_;
-  std::uint64_t chaos_cursor_ = 0;
-  XorShift64Star chaos_rng_;
+  JournaledStack stack_;
   std::uint64_t probe_seed_;  ///< Invariant-5 continuation probe stream.
 
-  // Persisted recovery artifacts (fleet protocol): current + previous
-  // snapshot, the journal span between them, device wear at each base.
-  std::vector<std::uint8_t> snapshot_cur_;
-  std::vector<std::uint8_t> snapshot_prev_;
-  std::vector<std::uint8_t> retained_journal_;
-  std::uint64_t base_cur_ = 0;
-  std::uint64_t base_prev_ = 0;
-  std::vector<std::uint8_t> wear_cur_;
-  std::vector<std::uint8_t> wear_prev_;
-
   std::uint64_t accepted_ = 0;
-  /// Accepted local addresses for writes base_prev_+1 .. accepted_
-  /// (log_base_ == base_prev_): the recovery reference replay input.
+  /// Accepted local addresses for writes log_base_+1 .. accepted_
+  /// (log_base_ == base_prev): the recovery reference replay input.
   std::vector<std::uint32_t> log_;
   std::uint64_t log_base_ = 0;
   std::vector<std::uint32_t> history_;  ///< keep_history only.
 
-  DeviceOutcome outcome_;
   std::atomic<HealthState> health_{HealthState::kHealthy};
   std::atomic<bool> dead_{false};
   std::uint64_t degraded_remaining_ = 0;
   bool retire_degraded_ = false;  ///< Retirement feed: sticky kDegraded.
   bool cache_degraded_ = false;   ///< Hit-rate floor: sticky kDegraded.
-  std::uint32_t last_retired_ = 0;
   bool directory_verified_ = true;
 };
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "common/config.h"
@@ -40,15 +41,16 @@ TEST_P(CrashPropertyTest, AllInvariantsHoldAtRandomCrashPoints) {
   std::uint64_t orphan_intents = 0;
   for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
     const CrashTrialResult r = sim.run_trial(trial);
-    ASSERT_TRUE(r.all_invariants_hold())
+    ASSERT_TRUE(r.verdicts.all_hold())
         << GetParam() << " trial " << trial << ": crash at write "
         << r.crash_write << " (cut " << r.cut_bytes << " bytes, torn="
         << r.torn_tail << ", garbage=" << r.garbage_tail << ", orphans="
         << r.orphan_swap_intents << ") recovered to " << r.committed_writes
-        << " — bijective=" << r.mapping_bijective << " reference="
-        << r.state_matches_reference << " rollback=" << r.rollback_consistent
-        << " wear=" << r.wear_drift_bounded << " continuation="
-        << r.continuation_matches;
+        << " — bijective=" << r.verdicts.mapping_bijective << " reference="
+        << r.verdicts.state_matches_reference
+        << " rollback=" << r.verdicts.rollback_consistent
+        << " wear=" << r.verdicts.wear_drift_bounded << " continuation="
+        << r.verdicts.continuation_matches;
     torn += r.torn_tail ? 1 : 0;
     garbage += r.garbage_tail ? 1 : 0;
     rollbacks += r.commit_survived ? 0 : 1;
@@ -89,6 +91,25 @@ std::string spec_test_name(
 INSTANTIATE_TEST_SUITE_P(AllSchemes, CrashPropertyTest,
                          ::testing::ValuesIn(crash_specs()),
                          spec_test_name);
+
+// The constructor's checks hold in every build type: with zero writes a
+// trial would still crash at write 1, a zero interval divides by zero,
+// and a fault model's retirements fall outside the replay model.
+TEST(CrashSimulator, RejectsNonsenseInput) {
+  CrashSimParams no_writes;
+  no_writes.total_writes = 0;
+  EXPECT_THROW(CrashSimulator(small_config(), no_writes),
+               std::invalid_argument);
+  CrashSimParams no_interval;
+  no_interval.snapshot_interval = 0;
+  EXPECT_THROW(CrashSimulator(small_config(), no_interval),
+               std::invalid_argument);
+  Config faulty = small_config();
+  faulty.fault.ecp_k = 2;
+  EXPECT_THROW(CrashSimulator(faulty, CrashSimParams{}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(CrashSimulator(small_config(), CrashSimParams{}));
+}
 
 }  // namespace
 }  // namespace twl
