@@ -36,11 +36,7 @@ std::vector<std::uint8_t> CheckpointManager::serialize(
   w.put_double(config.endurance.mean);
   w.put_u32(scenario.devices);
   w.put_u32(state.day);
-  for (const DeviceState& dev : state.devices) {
-    SnapshotWriter dw;
-    dev.save_state(dw);
-    w.put_u8_vec(dw.take());
-  }
+  for (const DeviceState& dev : state.devices) w.put_u8_vec(state_blob(dev));
   const std::uint32_t crc = crc32(w.bytes().data(), w.bytes().size());
   w.put_u32(crc);
   return w.take();

@@ -117,6 +117,21 @@ class SnapshotReader {
   std::size_t pos_ = 0;
 };
 
+/// `x.save_state` as a blob of its own.
+template <typename T>
+[[nodiscard]] std::vector<std::uint8_t> state_blob(const T& x) {
+  SnapshotWriter w;
+  x.save_state(w);
+  return w.take();
+}
+
+/// `x.load_state` from a state_blob.
+template <typename T>
+void load_state_blob(T& x, const std::vector<std::uint8_t>& blob) {
+  SnapshotReader r(blob);
+  x.load_state(r);
+}
+
 /// Current snapshot envelope version. Bump when the envelope layout
 /// changes; scheme payloads carry their own structure via save_state.
 inline constexpr std::uint16_t kSnapshotVersion = 1;

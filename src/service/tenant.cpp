@@ -194,9 +194,7 @@ void TenantDirectory::load_state(SnapshotReader& r) {
 }
 
 std::vector<std::uint8_t> TenantDirectory::serialize() const {
-  SnapshotWriter w;
-  save_state(w);
-  return w.take();
+  return state_blob(*this);
 }
 
 TenantDirectory TenantDirectory::deserialize(
