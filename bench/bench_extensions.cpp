@@ -152,9 +152,7 @@ void line_model_section(const bench::BenchSetup& setup, SimRunner& runner,
       MemoryController mc(device, *wl, setup.config, false);
       UniformTrace workload(setup.pages, 0.0, setup.config.seed);
       while (!device.failed()) {
-        MemoryRequest req = workload.next();
-        if (req.op != Op::kWrite) continue;
-        mc.submit(req, 0);
+        mc.submit(MemoryRequest{Op::kWrite, workload.next_write()}, 0);
       }
       out[i] = static_cast<double>(mc.stats().demand_writes) /
                static_cast<double>(map.total_endurance());

@@ -7,6 +7,7 @@
 // by ~21.7% on gmean with its minimum (~4.1 yr) under the scan attack;
 // NOWL is destroyed quickly by everything except the pure random stream.
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/extrapolate.h"
@@ -46,6 +47,9 @@ int run_impl(const twl::CliArgs& args) {
   const auto max_demand =
       static_cast<WriteCount>(args.get_uint_or("max-writes", 1ull << 40));
   const std::uint64_t trials = args.get_uint_or("trials", 2);
+  if (trials == 0) {
+    throw std::invalid_argument("--trials must be at least 1");
+  }
   // --paper-accounting: treat migration writes as performance-only (no
   // wear), the accounting under which the paper's TWL scan/random numbers
   // are reproducible. Default is physical wear. See EXPERIMENTS.md.

@@ -34,9 +34,7 @@ double swap_ratio(const twl::Config& config, const twl::ParsecBenchmark& b,
   MemoryController mc(device, wl, config, /*enable_timing=*/false);
   const auto source = b.make_source(pages, config.seed);
   while (wl.demand_writes() < writes) {
-    MemoryRequest req = source->next();
-    if (req.op != Op::kWrite) continue;
-    mc.submit(req, 0);
+    mc.submit(MemoryRequest{Op::kWrite, source->next_write()}, 0);
   }
   return static_cast<double>(wl.tossup_swaps()) /
          static_cast<double>(wl.demand_writes());

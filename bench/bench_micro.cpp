@@ -1,10 +1,11 @@
 // Per-operation microbenchmarks (google-benchmark): the simulation-side
-// cost of each scheme's write path, the RNGs, the table primitives and
-// the recovery journal. These bound how large a lifetime experiment is
-// practical.
+// cost of each scheme's write path, the RNGs, request generation, the
+// table primitives and the recovery journal. These bound how large a
+// lifetime experiment is practical.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,6 +15,8 @@
 #include "recovery/snapshot.h"
 #include "sim/memory_controller.h"
 #include "tables/remapping_table.h"
+#include "trace/parsec_model.h"
+#include "trace/synthetic.h"
 #include "trace/zipf.h"
 #include "wl/factory.h"
 
@@ -79,12 +82,39 @@ void BM_XorShift(benchmark::State& state) {
   }
 }
 
-void BM_ZipfSample(benchmark::State& state) {
-  ZipfSampler z(static_cast<std::uint64_t>(state.range(0)), 1.0);
+/// One Zipf draw over range(0) ranks at exponent `s`.
+void BM_ZipfSample(benchmark::State& state, double s) {
+  ZipfSampler z(static_cast<std::uint64_t>(state.range(0)), s);
   XorShift64Star rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(z.sample(rng));
   }
+}
+
+/// The canneal model over 256 pages, the request stream of perfbench's
+/// `lifetime`. Items are writes; reads (60%) are drawn and dropped.
+std::unique_ptr<SyntheticTrace> canneal_source() {
+  return parsec_benchmark("canneal").make_source(256, 1);
+}
+
+/// The next write found by calling next() and dropping reads.
+void BM_SyntheticNextFiltered(benchmark::State& state) {
+  const auto source = canneal_source();
+  for (auto _ : state) {
+    MemoryRequest req = source->next();
+    while (req.op != Op::kWrite) req = source->next();
+    benchmark::DoNotOptimize(req);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+/// The same writes through next_write(), which maps no read to a page.
+void BM_SyntheticNextWrite(benchmark::State& state) {
+  const auto source = canneal_source();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(source->next_write());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
 void BM_RemappingSwap(benchmark::State& state) {
@@ -182,7 +212,11 @@ BENCHMARK_CAPTURE(BM_SchemeWriteTimed, NOWL, Scheme::kNoWl);
 BENCHMARK_CAPTURE(BM_SchemeWriteTimed, TWL, Scheme::kTossUpStrongWeak);
 BENCHMARK(BM_Feistel8);
 BENCHMARK(BM_XorShift);
-BENCHMARK(BM_ZipfSample)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_ZipfSample, s1, 1.0)->Arg(1024)->Arg(65536);
+// The canneal model's exponent at 256 pages.
+BENCHMARK_CAPTURE(BM_ZipfSample, canneal, 1.1986)->Arg(256);
+BENCHMARK(BM_SyntheticNextFiltered);
+BENCHMARK(BM_SyntheticNextWrite);
 BENCHMARK(BM_RemappingSwap);
 BENCHMARK(BM_JournalWritePair);
 BENCHMARK(BM_JournalBatch)->Arg(1)->Arg(16)->Arg(32);

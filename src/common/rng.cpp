@@ -24,18 +24,6 @@ XorShift64Star::XorShift64Star(std::uint64_t seed) {
   if (state_ == 0) state_ = 0x2545F4914F6CDD1DULL;
 }
 
-std::uint64_t XorShift64Star::next() {
-  state_ ^= state_ >> 12;
-  state_ ^= state_ << 25;
-  state_ ^= state_ >> 27;
-  return state_ * 0x2545F4914F6CDD1DULL;
-}
-
-double XorShift64Star::next_double() {
-  // 53 high bits -> [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t XorShift64Star::next_below(std::uint64_t bound) {
   assert(bound > 0);
   // Rejection-free multiply-shift (Lemire); bias is < 2^-64 * bound, far

@@ -34,10 +34,19 @@ class XorShift64Star {
  public:
   explicit XorShift64Star(std::uint64_t seed);
 
-  std::uint64_t next();
+  // Inline: every synthetic request draws two or three of these.
+  std::uint64_t next() {
+    state_ ^= state_ >> 12;
+    state_ ^= state_ << 25;
+    state_ ^= state_ >> 27;
+    return state_ * 0x2545F4914F6CDD1DULL;
+  }
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    // 53 high bits -> [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound);

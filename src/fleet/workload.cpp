@@ -99,12 +99,8 @@ FleetStream& FleetStream::operator=(FleetStream&&) noexcept = default;
 LogicalPageAddr FleetStream::generate() {
   switch (workload_.kind) {
     case WorkloadKind::kZipf:
-      for (;;) {
-        const MemoryRequest req = zipf_->next();
-        if (req.op != Op::kWrite) continue;
-        return LogicalPageAddr(
-            static_cast<std::uint32_t>(req.addr.value() % pages_));
-      }
+      return LogicalPageAddr(
+          static_cast<std::uint32_t>(zipf_->next_write().value() % pages_));
     case WorkloadKind::kScan:
       return LogicalPageAddr(
           static_cast<std::uint32_t>(consumed_ % pages_));
@@ -171,16 +167,11 @@ LogicalPageAddr FleetStream::generate() {
       // Background tenants: zipf traffic folded into the rest of the
       // space (the whole space when the device is a single slice).
       const std::uint64_t span = pages_ - slice;
-      for (;;) {
-        const MemoryRequest req = zipf_->next();
-        if (req.op != Op::kWrite) continue;
-        if (span == 0) {
-          return LogicalPageAddr(
-              static_cast<std::uint32_t>(req.addr.value() % pages_));
-        }
-        return LogicalPageAddr(static_cast<std::uint32_t>(
-            slice + req.addr.value() % span));
+      const std::uint32_t la = zipf_->next_write().value();
+      if (span == 0) {
+        return LogicalPageAddr(static_cast<std::uint32_t>(la % pages_));
       }
+      return LogicalPageAddr(static_cast<std::uint32_t>(slice + la % span));
     }
   }
   return LogicalPageAddr(0);

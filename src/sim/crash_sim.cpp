@@ -32,11 +32,7 @@ class WriteStream {
         space_(logical_pages) {}
 
   LogicalPageAddr next() {
-    for (;;) {
-      const MemoryRequest req = source_.next();
-      if (req.op != Op::kWrite) continue;
-      return LogicalPageAddr(req.addr.value() % space_);
-    }
+    return LogicalPageAddr(source_.next_write().value() % space_);
   }
 
  private:

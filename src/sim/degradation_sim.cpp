@@ -64,10 +64,8 @@ DegradationResult DegradationSimulator::run(WearLeveler& wl,
 
   WriteCount next_sample = 1;
   while (controller.stats().demand_writes < max_demand) {
-    MemoryRequest req = source.next();
-    if (req.op != Op::kWrite) continue;
-    req.addr = LogicalPageAddr(req.addr.value() % space);
-    controller.submit(req, 0);
+    const LogicalPageAddr la(source.next_write().value() % space);
+    controller.submit(MemoryRequest{Op::kWrite, la}, 0);
 
     const WriteCount demand = controller.stats().demand_writes;
     if (result.first_failure_writes == 0 && device.failed()) {

@@ -79,10 +79,9 @@ FaultSimResult FaultSimulator::run(Scheme scheme, RequestSource& source,
   std::uint32_t seen_retired = 0;
   while (!controller.device_failed() &&
          controller.stats().demand_writes < max_demand) {
-    MemoryRequest req = source.next();
-    if (req.op != Op::kWrite) continue;  // Reads cause no wear.
-    req.addr = LogicalPageAddr(req.addr.value() % space);
-    controller.submit(req, 0);
+    // Reads cause no wear.
+    const LogicalPageAddr la(source.next_write().value() % space);
+    controller.submit(MemoryRequest{Op::kWrite, la}, 0);
 
     if (result.first_failure_writes == 0 && device.failed()) {
       result.first_failure_writes = controller.stats().demand_writes;

@@ -41,10 +41,9 @@ LifetimeResult LifetimeSimulator::run(Scheme scheme, RequestSource& source,
   const std::uint64_t space = wl->logical_pages();
   while (!controller.device_failed() &&
          controller.stats().demand_writes < max_demand) {
-    MemoryRequest req = source.next();
-    if (req.op != Op::kWrite) continue;  // Reads cause no wear.
-    req.addr = LogicalPageAddr(req.addr.value() % space);
-    controller.submit(req, 0);
+    // Reads cause no wear.
+    const LogicalPageAddr la(source.next_write().value() % space);
+    controller.submit(MemoryRequest{Op::kWrite, la}, 0);
   }
 
   LifetimeResult result;

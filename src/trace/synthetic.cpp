@@ -26,24 +26,33 @@ SyntheticTrace::SyntheticTrace(const SyntheticParams& params,
   }
 }
 
-LogicalPageAddr SyntheticTrace::next_write_addr() {
-  if (rng_.next_double() < params_.stream_frac) {
-    stream_pos_ = (stream_pos_ + 1) % params_.pages;
-    return LogicalPageAddr(static_cast<std::uint32_t>(stream_pos_));
+LogicalPageAddr RequestSource::next_write() {
+  for (;;) {
+    const MemoryRequest req = next();
+    if (req.op == Op::kWrite) return req.addr;
   }
-  const std::uint64_t rank = zipf_.sample(rng_);
-  return LogicalPageAddr(rank_to_page_[rank]);
 }
 
-MemoryRequest SyntheticTrace::next() {
-  if (rng_.next_double() < params_.read_frac) {
-    // Reads follow the same locality as writes.
-    MemoryRequest req;
-    req.op = Op::kRead;
-    req.addr = next_write_addr();
-    return req;
+MemoryRequest SyntheticTrace::draw(bool map_reads) {
+  // Reads follow the same locality as writes.
+  const Op op =
+      rng_.next_double() < params_.read_frac ? Op::kRead : Op::kWrite;
+  if (rng_.next_double() < params_.stream_frac) {
+    if (++stream_pos_ == params_.pages) stream_pos_ = 0;
+    return {op, LogicalPageAddr(static_cast<std::uint32_t>(stream_pos_))};
   }
-  return MemoryRequest{Op::kWrite, next_write_addr()};
+  const double u = rng_.next_double();
+  if (op == Op::kRead && !map_reads) return {op, LogicalPageAddr(0)};
+  return {op, LogicalPageAddr(rank_to_page_[zipf_.rank_of(u)])};
+}
+
+MemoryRequest SyntheticTrace::next() { return draw(/*map_reads=*/true); }
+
+LogicalPageAddr SyntheticTrace::next_write() {
+  for (;;) {
+    const MemoryRequest req = draw(/*map_reads=*/false);
+    if (req.op == Op::kWrite) return req.addr;
+  }
 }
 
 UniformTrace::UniformTrace(std::uint64_t pages, double read_frac,

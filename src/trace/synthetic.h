@@ -27,6 +27,12 @@ class RequestSource {
   /// Produce the next request. Sources are infinite (lifetime experiments
   /// replay workloads "in loops until a PCM page wears out", Section 5.1).
   virtual MemoryRequest next() = 0;
+
+  /// The address of the next write, skipping the reads before it: the
+  /// stream next() gives with its reads dropped, for simulators that
+  /// count wear only. A source overrides it when a discarded read can
+  /// cost less than next() makes it cost.
+  virtual LogicalPageAddr next_write();
 };
 
 struct SyntheticParams {
@@ -45,6 +51,8 @@ class SyntheticTrace final : public RequestSource {
   [[nodiscard]] std::string name() const override { return name_; }
 
   MemoryRequest next() override;
+  /// Draws exactly what next() draws, but maps no Zipf read to its page.
+  LogicalPageAddr next_write() override;
 
   /// The page receiving the largest share of writes (for calibration
   /// tests).
@@ -55,7 +63,13 @@ class SyntheticTrace final : public RequestSource {
   [[nodiscard]] const SyntheticParams& params() const { return params_; }
 
  private:
-  [[nodiscard]] LogicalPageAddr next_write_addr();
+  /// One request. Every request consumes the same draws in the same
+  /// order: the read coin, the stream coin, then the Zipf u unless it
+  /// streams (a streaming read advances the stream position too). With
+  /// `map_reads` false a Zipf read's address is left 0: rank_of and the
+  /// scatter lookup consume no randomness, so skipping them leaves the
+  /// stream of later requests unchanged.
+  [[nodiscard]] MemoryRequest draw(bool map_reads);
 
   SyntheticParams params_;
   std::string name_;

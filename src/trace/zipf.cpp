@@ -1,13 +1,12 @@
 #include "trace/zipf.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace twl {
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double s) : s_(s) {
-  assert(n > 0);
+  assert(n > 0 && n - 1 <= UINT32_MAX);  // Ranks fit the guide table.
   cdf_.reserve(n);
   double cum = 0.0;
   for (std::uint64_t k = 0; k < n; ++k) {
@@ -17,12 +16,16 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s) : s_(s) {
   const double total = cdf_.back();
   for (double& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // Guard against rounding.
-}
 
-std::uint64_t ZipfSampler::sample(XorShift64Star& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin());
+  // One sweep: the thresholds j/n rise, so the rank only moves forward.
+  // cdf_.back() is 1.0 > j/n, which keeps k in range.
+  guide_.resize(n);
+  std::uint32_t k = 0;
+  for (std::uint64_t j = 0; j < n; ++j) {
+    const double threshold = static_cast<double>(j) / static_cast<double>(n);
+    while (cdf_[k] < threshold) ++k;
+    guide_[j] = k;
+  }
 }
 
 double ZipfSampler::top_probability() const {

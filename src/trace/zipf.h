@@ -6,6 +6,9 @@
 // no-wear-leveling lifetime (Table 2). See trace/parsec_model.h.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,7 +23,27 @@ class ZipfSampler {
   ZipfSampler(std::uint64_t n, double s);
 
   /// Draw a rank (0 = most popular).
-  [[nodiscard]] std::uint64_t sample(XorShift64Star& rng) const;
+  [[nodiscard]] std::uint64_t sample(XorShift64Star& rng) const {
+    return rank_of(rng.next_double());
+  }
+
+  /// The rank a uniform draw u in [0, 1) selects: the first rank whose
+  /// CDF entry is >= u, the index std::lower_bound over the CDF returns.
+  /// Found through the guide table (Chen-Asau indexed search) in O(1)
+  /// expected steps.
+  [[nodiscard]] std::uint64_t rank_of(double u) const {
+    assert(u >= 0.0 && u < 1.0);
+    // u * n can round up to n for u just below 1: clamp.
+    const std::size_t j = std::min(
+        static_cast<std::size_t>(u * static_cast<double>(cdf_.size())),
+        cdf_.size() - 1);
+    std::size_t k = guide_[j];
+    // The product can also round up past a j/n boundary, landing on a
+    // guide entry beyond the answer: step back first.
+    while (k > 0 && cdf_[k - 1] >= u) --k;
+    while (cdf_[k] < u) ++k;
+    return k;
+  }
 
   [[nodiscard]] double exponent() const { return s_; }
   [[nodiscard]] std::uint64_t size() const { return cdf_.size(); }
@@ -40,6 +63,8 @@ class ZipfSampler {
  private:
   double s_;
   std::vector<double> cdf_;  ///< Normalized cumulative probabilities.
+  /// guide_[j] is the first rank whose CDF entry is >= j/n.
+  std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace twl

@@ -82,6 +82,53 @@ TEST(SyntheticTrace, DeterministicForSeed) {
   }
 }
 
+/// Address of the next write, found the way every simulator found it
+/// before next_write(): call next() and drop the reads.
+LogicalPageAddr filtered_next(RequestSource& source) {
+  for (;;) {
+    const MemoryRequest req = source.next();
+    if (req.op == Op::kWrite) return req.addr;
+  }
+}
+
+TEST(SyntheticTrace, NextWriteEqualsFilteredNext) {
+  for (const double read : {0.0, 0.6, 0.95}) {
+    for (const double stream : {0.0, 0.1, 1.0}) {
+      for (const std::uint64_t pages : {1u, 7u, 256u}) {
+        SCOPED_TRACE(::testing::Message() << "read_frac=" << read
+                                          << " stream_frac=" << stream
+                                          << " pages=" << pages);
+        const SyntheticParams p = params(pages, 1.1986, stream, read);
+        SyntheticTrace filtered(p);
+        SyntheticTrace writes_only(p);
+        for (int i = 0; i < 20000; ++i) {
+          ASSERT_EQ(writes_only.next_write(), filtered_next(filtered)) << i;
+        }
+        // Both consumed the same draws: the full streams, reads included,
+        // carry on in step.
+        for (int i = 0; i < 1000; ++i) {
+          const MemoryRequest a = filtered.next();
+          const MemoryRequest b = writes_only.next();
+          ASSERT_EQ(a.op, b.op) << i;
+          ASSERT_EQ(a.addr, b.addr) << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(UniformTrace, DefaultNextWriteEqualsFilteredNext) {
+  UniformTrace filtered(64, 0.6, 5);
+  UniformTrace writes_only(64, 0.6, 5);
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_EQ(writes_only.next_write(), filtered_next(filtered)) << i;
+  }
+  const MemoryRequest a = filtered.next();
+  const MemoryRequest b = writes_only.next();
+  EXPECT_EQ(a.op, b.op);
+  EXPECT_EQ(a.addr, b.addr);
+}
+
 TEST(UniformTrace, UniformCoverage) {
   UniformTrace t(32, 0.0, 3);
   std::map<std::uint32_t, int> counts;

@@ -183,5 +183,41 @@ TEST_F(TraceFileTest, RecordingSourceTees) {
   }
 }
 
+TEST_F(TraceFileTest, RecordingSourceNextWriteRecordsEveryRead) {
+  SyntheticParams p;
+  p.pages = 16;
+  p.read_frac = 0.6;
+  p.seed = 3;
+  SyntheticTrace fresh(p);
+  std::uint64_t requests = 0;
+  {
+    RecordingSource rec(std::make_unique<SyntheticTrace>(p), path_);
+    for (int i = 0; i < 50; ++i) {
+      // The default next_write() draws through next(), so the recorder
+      // sees the reads it skips.
+      LogicalPageAddr expected;
+      for (;;) {
+        const MemoryRequest req = fresh.next();
+        ++requests;
+        if (req.op == Op::kWrite) {
+          expected = req.addr;
+          break;
+        }
+      }
+      EXPECT_EQ(rec.next_write(), expected) << i;
+    }
+  }
+  ASSERT_GT(requests, 50u);
+  TraceFileSource replay(path_);
+  EXPECT_EQ(replay.records(), requests);
+  SyntheticTrace again(p);
+  for (std::uint64_t i = 0; i < requests; ++i) {
+    const auto a = again.next();
+    const auto b = replay.next();
+    EXPECT_EQ(a.op, b.op) << i;
+    EXPECT_EQ(a.addr, b.addr) << i;
+  }
+}
+
 }  // namespace
 }  // namespace twl

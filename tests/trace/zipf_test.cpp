@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace twl {
@@ -51,6 +55,77 @@ TEST(ZipfSampler, MonotoneRankFrequencies) {
   for (int i = 0; i < 100000; ++i) ++counts[z.sample(rng)];
   for (int r = 1; r < 8; ++r) {
     EXPECT_GE(counts[r - 1], counts[r] - 300);
+  }
+}
+
+/// The sampler's CDF, built here from its definition: the normalized
+/// running sum of (k+1)^-s, its last entry pinned to 1.
+std::vector<double> reference_cdf(std::uint64_t n, double s) {
+  std::vector<double> cdf;
+  double cum = 0.0;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    cum += std::pow(static_cast<double>(k + 1), -s);
+    cdf.push_back(cum);
+  }
+  for (double& c : cdf) c /= cum;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+/// The inverse-CDF draw by binary search: the rank every u in [0, 1)
+/// selected before the guide table.
+std::uint64_t lower_bound_rank(const std::vector<double>& cdf, double u) {
+  return static_cast<std::uint64_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+TEST(ZipfSampler, RankOfEqualsLowerBound) {
+  // s = 0 puts the CDF entries on the j/n boundaries the guide table
+  // indexes by; 1.1986 is the canneal model's exponent at 256 pages.
+  for (const std::uint64_t n : {1u, 2u, 3u, 256u, 65536u}) {
+    for (const double s : {0.0, 0.426, 1.0, 1.1986, 3.0}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " s=" << s);
+      const ZipfSampler z(n, s);
+      const std::vector<double> cdf = reference_cdf(n, s);
+      std::uint64_t mismatches = 0;
+      const auto check = [&](double u) {
+        if (u < 0.0 || u >= 1.0) return;
+        if (z.rank_of(u) != lower_bound_rank(cdf, u)) {
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << "u=" << u << " (" << std::hexfloat << u
+                          << std::defaultfloat << "): rank_of "
+                          << z.rank_of(u) << ", lower_bound "
+                          << lower_bound_rank(cdf, u);
+          }
+        }
+      };
+      const auto check_around = [&](double x) {
+        check(std::nextafter(x, 0.0));
+        check(x);
+        check(std::nextafter(x, 1.0));
+      };
+      check(0.0);
+      check(std::nextafter(1.0, 0.0));
+      for (const double c : cdf) check_around(c);
+      for (std::uint64_t j = 0; j < n; ++j) {
+        check_around(static_cast<double>(j) / static_cast<double>(n));
+      }
+      std::mt19937_64 gen(n * 1000003u + static_cast<std::uint64_t>(s * 1e4));
+      for (int i = 0; i < 1000000; ++i) {
+        check(static_cast<double>(gen() >> 11) * 0x1.0p-53);
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
+}
+
+TEST(ZipfSampler, SampleIsRankOfOneUniformDraw) {
+  const ZipfSampler z(256, 1.1986);
+  const std::vector<double> cdf = reference_cdf(256, 1.1986);
+  XorShift64Star rng(11);
+  XorShift64Star twin(11);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_EQ(z.sample(rng), lower_bound_rank(cdf, twin.next_double()));
   }
 }
 
