@@ -2,40 +2,22 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "common/checksum.h"
 #include "common/names.h"
-#include "common/rng.h"
-#include "common/sim_runner.h"
 #include "obs/json.h"
 #include "service/queue.h"
+#include "service/virtual_engine.h"
 #include "wl/factory.h"
 #include "wl/wear_leveler.h"
 
 namespace twl {
 
 namespace {
-
-/// Per-client seed streams derived from the service seed.
-struct ClientSeeds {
-  std::uint64_t workload = 0;
-  std::uint64_t gap = 0;
-};
-
-ClientSeeds client_seeds(std::uint64_t service_seed, std::uint32_t client) {
-  SplitMix64 mix(service_seed ^ (0xC11E'A5E0'0000'0000ULL + client));
-  ClientSeeds s;
-  s.workload = mix.next();
-  s.gap = mix.next();
-  return s;
-}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -260,20 +242,6 @@ ShardParams ServiceFrontEnd::shard_params() const {
   return p;
 }
 
-/// One routed request in virtual time.
-struct ServiceFrontEnd::Arrival {
-  Cycles at = 0;
-  std::uint32_t client = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t la = 0;      ///< Shard-local logical page.
-  TenantId tenant = 0;       ///< client % tenants.
-};
-
-struct ServiceFrontEnd::ShardCellResult {
-  ShardReport report;
-  MetricsRegistry metrics;
-};
-
 FleetStream ServiceFrontEnd::client_stream(std::uint32_t client) const {
   // Clients are assigned round-robin to tenants and draw from their
   // tenant's private space; a blend shapes the traffic only in tenant
@@ -287,64 +255,7 @@ FleetStream ServiceFrontEnd::client_stream(std::uint32_t client) const {
       client_seeds(config_.seed, client).workload);
 }
 
-std::vector<std::vector<ServiceFrontEnd::Arrival>>
-ServiceFrontEnd::generate_arrivals() const {
-  std::vector<std::vector<Arrival>> per_shard(service_.shards);
-  for (std::uint32_t c = 0; c < service_.clients; ++c) {
-    const TenantId tenant = c % directory_.tenant_count();
-    FleetStream stream = client_stream(c);
-    XorShift64Star gap_rng(client_seeds(config_.seed, c).gap);
-    Cycles t = 0;
-    for (std::uint64_t seq = 0; seq < service_.requests_per_client; ++seq) {
-      const Cycles mean = service_.mean_gap_cycles;
-      t += mean == 0 ? 1 : 1 + gap_rng.next_below(2 * mean - 1);
-      const std::uint32_t tla = stream.next().value();
-      const auto [shard, local] =
-          directory_.translate(tenant, tla, service_.sharding);
-      per_shard[shard].push_back(Arrival{t, c, seq, local, tenant});
-    }
-  }
-  return per_shard;
-}
-
 namespace {
-
-/// One pending admission attempt in the virtual-time engine. Ordered by
-/// (at, client, seq, attempt) so the processing order — and with it
-/// every retry, shed and accept decision — is a total order independent
-/// of heap internals.
-struct VirtualEvent {
-  Cycles at = 0;
-  Cycles submit = 0;  ///< Original arrival time (latency baseline).
-  std::uint32_t client = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t attempt = 0;
-  std::uint32_t la = 0;
-  TenantId tenant = 0;
-  bool quota_paid = false;  ///< Token already charged (retries don't re-pay).
-  bool parked = false;  ///< Waiting out a full queue under kBlock.
-
-  [[nodiscard]] std::tuple<Cycles, std::uint32_t, std::uint64_t,
-                           std::uint32_t>
-  key() const {
-    return {at, client, seq, attempt};
-  }
-};
-
-struct LaterEvent {
-  bool operator()(const VirtualEvent& a, const VirtualEvent& b) const {
-    return a.key() > b.key();
-  }
-};
-
-Cycles backoff_for(const ServiceConfig& cfg, std::uint32_t attempt) {
-  const Cycles base = cfg.backoff_base_cycles == 0 ? 1
-                                                   : cfg.backoff_base_cycles;
-  const Cycles cap = std::max<Cycles>(base, cfg.backoff_cap_cycles);
-  const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
-  const Cycles b = base << shift;
-  return (b >> shift) != base || b > cap ? cap : b;
-}
 
 /// The book counters under `prefix` ("service." or
 /// "service.tenant.<id>."). quota_shed only exists in tenant mode.
@@ -362,298 +273,6 @@ void publish_books(MetricsRegistry& m, const std::string& prefix,
 }
 
 }  // namespace
-
-void ServiceFrontEnd::run_shard_cell(std::vector<Arrival> arrivals,
-                                     std::uint32_t shard_index,
-                                     ShardCellResult& out) const {
-  // Arrivals were generated client by client; the shard serves them in
-  // global time order (ties broken by client, then sequence).
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const Arrival& a, const Arrival& b) {
-              return std::tie(a.at, a.client, a.seq) <
-                     std::tie(b.at, b.client, b.seq);
-            });
-
-  ServiceShard shard(config_, shard_params(), shard_index);
-  const TenancyConfig& ten = service_.tenancy;
-  const std::uint32_t tenant_count = directory_.tenant_count();
-  // The service discipline. The single-unlimited-tenant default executes
-  // each request at admission, FIFO behind the writes already
-  // outstanding; tenant mode queues per tenant and drains deficit-round-
-  // robin. The two differ only in how queue depth is counted, where a
-  // blocked producer parks and what admission does.
-  const bool drr = ten.active();
-
-  MetricsRegistry& m = out.metrics;
-  LogHistogram& latency_hist =
-      m.histogram("service.request_latency_cycles");
-  LogHistogram& depth_hist = m.histogram("service.queue_depth");
-
-  std::vector<ServiceTotals> books(tenant_count);
-  for (const Arrival& a : arrivals) ++books[a.tenant].submitted;
-  std::uint64_t peak_depth = 0;
-
-  // Quota buckets live per (tenant, shard), so admission in this cell is
-  // a pure function of this cell's event order — shard independence,
-  // and with it --jobs byte-identity, is preserved. Rate 0 admits all.
-  std::vector<TokenBucket> buckets(
-      tenant_count, TokenBucket(ten.quota_rate, ten.quota_burst));
-
-  std::priority_queue<VirtualEvent, std::vector<VirtualEvent>, LaterEvent>
-      pending;
-  Cycles busy_until = 0;
-  Cycles unavail_until = 0;  ///< Crash quarantine + recovery window.
-  std::uint64_t parked = 0;  ///< kBlock waiters currently in the heap.
-  const Cycles deadline = service_.deadline_cycles;
-
-  // FIFO: completion times of the writes queued or in service.
-  std::deque<Cycles> outstanding;
-
-  // DRR: per-tenant FIFOs and deficits. Exactly one tenant drain is in
-  // flight at a time; its requests are "in service" until drain_done,
-  // when the next DRR turn starts.
-  struct Queued {
-    Cycles submit = 0;
-    std::uint32_t la = 0;
-  };
-  std::vector<std::deque<Queued>> tenant_q(tenant_count);
-  std::vector<std::uint64_t> deficit(tenant_count, 0);
-  std::uint64_t queued_total = 0;
-  std::uint32_t rr = 0;  ///< DRR cursor.
-  bool in_drain = false;
-  Cycles drain_done = 0;
-  std::uint64_t in_service = 0;
-  std::vector<Cycles> submits;
-  std::vector<LogicalPageAddr> las;
-
-  // One DRR turn: pick the next tenant with queued work, top up its
-  // deficit, drain up to that many requests as one execute_batch group.
-  // Loops only while selected batches come up empty (all expired).
-  const auto start_drain = [&](Cycles t) {
-    while (queued_total > 0 && !shard.dead()) {
-      std::uint32_t chosen = rr;
-      for (std::uint32_t probe = 0; probe < tenant_count; ++probe) {
-        const std::uint32_t cand = (rr + probe) % tenant_count;
-        if (!tenant_q[cand].empty()) {
-          chosen = cand;
-          break;
-        }
-      }
-      std::deque<Queued>& q = tenant_q[chosen];
-      ServiceTotals& book = books[chosen];
-      deficit[chosen] += ten.drr_quantum;
-      submits.clear();
-      las.clear();
-      while (deficit[chosen] > 0 && !q.empty()) {
-        const Queued item = q.front();
-        q.pop_front();
-        --queued_total;
-        if (deadline != 0 && t > item.submit + deadline) {
-          // Expired while queued — a timeout, not charged to the
-          // tenant's deficit.
-          ++book.timed_out;
-          continue;
-        }
-        submits.push_back(item.submit);
-        las.push_back(LogicalPageAddr(item.la));
-        --deficit[chosen];
-      }
-      if (q.empty()) deficit[chosen] = 0;  // DRR: an idle tenant forfeits.
-      rr = (chosen + 1) % tenant_count;
-      if (las.empty()) continue;
-
-      const ShardBatchOutcome bo =
-          shard.execute_batch(las.data(), las.size());
-      Cycles comp = std::max(t, busy_until);
-      for (std::size_t p = 0; p < las.size(); ++p) {
-        if (p >= bo.executed) {
-          // The shard died mid-batch; the remainder was never written.
-          ++book.shed_unavailable;
-          continue;
-        }
-        comp += service_.service_cycles + bo.penalty_cycles[p];
-        if (bo.penalty_cycles[p] > 0) unavail_until = comp;
-        ++book.accepted;
-        latency_hist.add(comp - submits[p]);
-        if (deadline != 0 && comp > submits[p] + deadline) {
-          ++book.deadline_overruns;
-        }
-      }
-      busy_until = std::max(busy_until, comp);
-      if (bo.executed > 0) {
-        in_service = bo.executed;
-        drain_done = comp;
-        in_drain = true;
-        return;
-      }
-    }
-  };
-
-  std::size_t next_arrival = 0;
-  while (next_arrival < arrivals.size() || !pending.empty() || in_drain) {
-    if (in_drain) {
-      // The drain completion fires first on ties so waiters parked at
-      // drain_done observe the freed queue capacity.
-      Cycles next_t = drain_done;
-      bool have_event = false;
-      if (next_arrival < arrivals.size()) {
-        next_t = arrivals[next_arrival].at;
-        have_event = true;
-      }
-      if (!pending.empty() &&
-          (!have_event || pending.top().at < next_t)) {
-        next_t = pending.top().at;
-        have_event = true;
-      }
-      if (!have_event || drain_done <= next_t) {
-        const Cycles t = drain_done;
-        in_drain = false;
-        in_service = 0;
-        if (queued_total > 0) start_drain(t);
-        continue;
-      }
-    }
-
-    VirtualEvent e;
-    if (pending.empty() ||
-        (next_arrival < arrivals.size() &&
-         std::make_tuple(arrivals[next_arrival].at,
-                         arrivals[next_arrival].client,
-                         arrivals[next_arrival].seq,
-                         std::uint32_t{0}) <= pending.top().key())) {
-      const Arrival& a = arrivals[next_arrival++];
-      e = VirtualEvent{a.at, a.at, a.client, a.seq, 0, a.la, a.tenant};
-    } else {
-      e = pending.top();
-      pending.pop();
-      if (e.parked) {
-        --parked;
-        e.parked = false;
-      }
-    }
-
-    const Cycles t = e.at;
-    ServiceTotals& book = books[e.tenant];
-    while (!outstanding.empty() && outstanding.front() <= t) {
-      outstanding.pop_front();
-    }
-    // Discipline point 1: FIFO counts the writes not yet completed; DRR
-    // the requests queued across all tenants plus the drain in flight.
-    const std::uint64_t depth =
-        drr ? queued_total + in_service : outstanding.size();
-    const Cycles deadline_abs = deadline == 0 ? 0 : e.submit + deadline;
-
-    // A request whose deadline already passed — while it waited out a
-    // backoff or a blocked queue — is a timeout, not a shed.
-    if (deadline != 0 && t > deadline_abs) {
-      ++book.timed_out;
-      continue;
-    }
-
-    // Quota gate: the tenant's token-bucket write-rate limit, charged
-    // once per request (retries and blocked waits don't re-pay).
-    // Rejection is a terminal policy outcome — no retry.
-    if (!e.quota_paid) {
-      if (!buckets[e.tenant].try_take(t)) {
-        ++book.quota_shed;
-        continue;
-      }
-      e.quota_paid = true;
-    }
-
-    // Health gate: quarantined (crash window) or dead
-    // (retirement exhausted) shards admit nothing; clients retry with
-    // bounded exponential backoff, then shed with an error.
-    if (shard.dead() || t < unavail_until) {
-      if (!shard.dead() && e.attempt < service_.max_retries) {
-        ++book.retries;
-        e.at = t + backoff_for(service_, e.attempt);
-        ++e.attempt;
-        pending.push(e);
-      } else {
-        ++book.shed_unavailable;
-      }
-      continue;
-    }
-
-    // Back-pressure gate: the bounded queue is full.
-    if (depth >= service_.queue_capacity) {
-      if (service_.overflow == OverflowPolicy::kBlock) {
-        ++book.blocked;
-        if (drr) {
-          // Discipline point 2: park until the active drain completes;
-          // capacity can only free then. drain_done > t here because
-          // completions fire first on ties, so the waiter always makes
-          // progress.
-          e.at = in_drain ? drain_done : t + 1;
-        } else {
-          // The producer waits for a projected slot: the i-th waiter
-          // needs i+1 completions, which land at the queued completion
-          // times and then every service_cycles once the queue drains
-          // FIFO. Waking each waiter at its own slot (instead of waking
-          // the whole backlog at the next completion) keeps the engine
-          // linear; a waiter that wakes while the queue is still full —
-          // a crash penalty shifted the schedule — simply re-parks at a
-          // fresh estimate.
-          const std::uint64_t slot = parked;
-          e.at = slot < depth
-                     ? outstanding[static_cast<std::size_t>(slot)]
-                     : busy_until +
-                           service_.service_cycles * (slot - depth + 1);
-        }
-        e.parked = true;
-        ++parked;
-        pending.push(e);
-      } else if (e.attempt < service_.max_retries) {
-        ++book.retries;
-        e.at = t + backoff_for(service_, e.attempt);
-        ++e.attempt;
-        pending.push(e);
-      } else {
-        ++book.shed_overflow;
-      }
-      continue;
-    }
-
-    // Discipline point 3: admission.
-    if (drr) {
-      // Join the tenant's FIFO; a DRR drain picks it up.
-      tenant_q[e.tenant].push_back(Queued{e.submit, e.la});
-      ++queued_total;
-    } else {
-      // Execute now, FIFO behind the writes already outstanding.
-      Cycles completion =
-          std::max(t, busy_until) + service_.service_cycles;
-      if (deadline != 0 && completion > deadline_abs) {
-        // Would miss its deadline even if nothing goes wrong: reject now
-        // instead of burning device writes on a dead-on-arrival request.
-        ++book.timed_out;
-        continue;
-      }
-      const ShardExecOutcome ex = shard.execute(LogicalPageAddr(e.la));
-      if (ex.crashed) {
-        completion += ex.penalty_cycles;
-        unavail_until = completion;
-        if (deadline != 0 && completion > deadline_abs) {
-          ++book.deadline_overruns;
-        }
-      }
-      ++book.accepted;
-      latency_hist.add(completion - e.submit);
-      busy_until = completion;
-      outstanding.push_back(completion);
-    }
-    depth_hist.add(depth + 1);
-    peak_depth = std::max(peak_depth, depth + 1);
-    if (drr && !in_drain) start_drain(t);
-  }
-
-  // A shard that died mid-run strands whatever was still queued.
-  for (std::uint32_t t = 0; t < tenant_count; ++t) {
-    books[t].shed_unavailable += tenant_q[t].size();
-  }
-  finalize_shard(shard, books, peak_depth, out);
-}
 
 void ServiceFrontEnd::finalize_shard(const ServiceShard& shard,
                                      const std::vector<ServiceTotals>& books,
@@ -728,22 +347,6 @@ ServiceRunResult ServiceFrontEnd::assemble(
     result.latency_p99 = lat->quantile(0.99);
   }
   return result;
-}
-
-ServiceRunResult ServiceFrontEnd::run_virtual(SimRunner& runner) const {
-  std::vector<std::vector<Arrival>> per_shard = generate_arrivals();
-  std::vector<ShardCellResult> cells(service_.shards);
-  std::vector<SimCell> grid;
-  grid.reserve(service_.shards);
-  for (std::uint32_t s = 0; s < service_.shards; ++s) {
-    grid.push_back(
-        [this, s, arrivals = std::move(per_shard[s]), &cells]() mutable {
-          run_shard_cell(std::move(arrivals), s, cells[s]);
-          return cells[s].report.totals.accepted;
-        });
-  }
-  runner.run_all(grid);
-  return assemble(cells);
 }
 
 namespace {

@@ -17,16 +17,23 @@
 // finishes (finalize_shard, shared by both engines):
 //
 //  * run_virtual — seeded discrete-event simulation in virtual cycles,
-//    one shard loop per SimRunner cell, so the whole run is a pure
-//    function of (Config, ServiceConfig): byte-identical across
-//    --jobs 1 / --jobs N and across repeated runs at a fixed seed. The
-//    admission gates run in order — deadline, quota, health,
-//    back-pressure — and only the service discipline forks on
-//    TenancyConfig::active(): the single-unlimited-tenant default
-//    executes each request at admission, FIFO; tenant mode queues per
-//    tenant and drains deficit-round-robin, each drain one
-//    submit_write_batch group so journaling amortizes across it. FIFO
-//    stays for the default because the golden digests and the
+//    a pure function of (Config, ServiceConfig): byte-identical across
+//    --jobs 1 / --jobs N and across repeated runs at a fixed seed. It
+//    streams arrivals through windows of virtual time
+//    (service/virtual_engine.h): the clients emit every arrival due
+//    before the window's end, its horizon, into per-shard buffers put in
+//    (time, client) order, and one SimRunner::run_all grid advances each
+//    shard's resumable engine through every event strictly before the
+//    horizon; a last call with no horizon drains the shards. The
+//    runner's report therefore counts shard-windows as cells. Events
+//    are served in (time, client, submit, attempt) order, so no window
+//    cut changes a decision. The admission gates run in order —
+//    deadline, quota, health, back-pressure — and only the service
+//    discipline forks on TenancyConfig::active(): the single-unlimited-
+//    tenant default executes each request at admission, FIFO; tenant
+//    mode queues per tenant and drains deficit-round-robin, each drain
+//    one submit_write_batch group so journaling amortizes across it.
+//    FIFO stays for the default because the golden digests and the
 //    benchmark replay pin its output byte for byte (DESIGN.md §13).
 //
 //  * run_realtime — real threads: one worker per shard draining one
@@ -65,6 +72,7 @@ namespace twl {
 
 class JsonWriter;
 class SimRunner;
+struct ShardCellResult;
 
 enum class OverflowPolicy : std::uint8_t {
   kShed = 0,  ///< Full queue: fail fast, client retries then sheds.
@@ -274,24 +282,21 @@ class ServiceFrontEnd {
     return service_;
   }
 
-  /// Deterministic discrete-event run; shards are SimRunner cells.
+  /// Deterministic discrete-event run; each window's shards are
+  /// SimRunner cells.
   [[nodiscard]] ServiceRunResult run_virtual(SimRunner& runner) const;
 
   /// Threaded run: one worker per shard + `clients` client threads.
   [[nodiscard]] ServiceRunResult run_realtime() const;
 
  private:
-  struct Arrival;
-  struct ShardCellResult;
+  // The virtual engine (service/virtual_engine.h).
+  friend class ArrivalGenerator;
+  friend class ShardEngine;
 
   [[nodiscard]] ShardParams shard_params() const;
   /// Client c's request stream over its tenant's private space.
   [[nodiscard]] FleetStream client_stream(std::uint32_t client) const;
-  [[nodiscard]] std::vector<std::vector<Arrival>> generate_arrivals() const;
-  /// The virtual engine's shard loop: admission gates, then FIFO or DRR
-  /// service.
-  void run_shard_cell(std::vector<Arrival> arrivals, std::uint32_t shard,
-                      ShardCellResult& out) const;
   /// Sums per-tenant `books` into the ShardReport and publishes the
   /// shard's metrics; shared by both engines.
   void finalize_shard(const ServiceShard& shard,

@@ -1,5 +1,6 @@
 #include "service/shard.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -155,16 +156,17 @@ ShardExecOutcome ServiceShard::execute(LogicalPageAddr local_la) {
 }
 
 ShardBatchOutcome ServiceShard::execute_batch(const LogicalPageAddr* las,
-                                              std::size_t count) {
+                                              std::size_t count,
+                                              Cycles* penalty_cycles) {
   assert(!dead() && "execute_batch() on a dead shard");
   ShardBatchOutcome out;
-  out.penalty_cycles.assign(count, 0);
   std::size_t i = 0;
   while (i < count && !dead()) {
     if (stack_.event_due(accepted_ + 1)) {
       // A chaos event targets this write: take the single-write crash
       // path so damage windows and recovery semantics are unchanged.
-      out.penalty_cycles[i] = execute(las[i]).penalty_cycles;
+      const Cycles penalty = execute(las[i]).penalty_cycles;
+      if (penalty_cycles != nullptr) penalty_cycles[i] = penalty;
       ++i;
       ++out.executed;
       continue;
@@ -187,6 +189,9 @@ ShardBatchOutcome ServiceShard::execute_batch(const LogicalPageAddr* las,
     }
     stack_.controller().submit_write_batch(las + i, run, 0);
     feed_availability();
+    if (penalty_cycles != nullptr) {
+      std::fill(penalty_cycles + i, penalty_cycles + i + run, Cycles{0});
+    }
     for (std::size_t j = 0; j < run; ++j) {
       ++accepted_;
       decay_degraded();

@@ -93,10 +93,6 @@ struct ShardBatchOutcome {
   /// Writes actually committed; < count only if the shard died mid-batch
   /// (the caller re-disposes the remainder).
   std::size_t executed = 0;
-  /// Per executed write: crash penalty charged to that position (0 for
-  /// clean writes) — lets the caller model per-request completion times
-  /// exactly as the single-write path would.
-  std::vector<Cycles> penalty_cycles;
 };
 
 class ServiceShard {
@@ -118,13 +114,19 @@ class ServiceShard {
 
   /// Commits a tenant drain as one group: chaos-free stretches go
   /// through MemoryController::submit_write_batch so journaling
-  /// amortizes (PR-6 BatchBegin/BatchCommit records); a write the chaos
+  /// amortizes (BatchBegin/BatchCommit records); a write the chaos
   /// schedule targets is executed via the single-write crash path so
   /// recovery semantics are unchanged. Stops early if the shard dies
   /// mid-batch. The physical write stream and accepted log are
-  /// write-for-write identical to count execute() calls.
+  /// write-for-write identical to count execute() calls
+  /// (ServiceShard.ExecuteBatchMatchesExecuteUnderChaos). When
+  /// `penalty_cycles` is given, entry i of the first `executed` receives
+  /// write i's crash penalty, 0 for a clean write, as execute() would
+  /// report it: the caller models per-request completion times without
+  /// an allocation per drain.
   ShardBatchOutcome execute_batch(const LogicalPageAddr* las,
-                                  std::size_t count);
+                                  std::size_t count,
+                                  Cycles* penalty_cycles = nullptr);
 
   [[nodiscard]] std::uint32_t index() const { return index_; }
   [[nodiscard]] std::uint64_t logical_pages() const {

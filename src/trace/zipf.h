@@ -30,7 +30,7 @@ class ZipfSampler {
   /// The rank a uniform draw u in [0, 1) selects: the first rank whose
   /// CDF entry is >= u, the index std::lower_bound over the CDF returns.
   /// Found through the guide table (Chen-Asau indexed search) in O(1)
-  /// expected steps.
+  /// expected steps and O(log n) at worst.
   [[nodiscard]] std::uint64_t rank_of(double u) const {
     assert(u >= 0.0 && u < 1.0);
     // u * n can round up to n for u just below 1: clamp.
@@ -41,8 +41,16 @@ class ZipfSampler {
     // The product can also round up past a j/n boundary, landing on a
     // guide entry beyond the answer: step back first.
     while (k > 0 && cdf_[k - 1] >= u) --k;
-    while (cdf_[k] < u) ++k;
-    return k;
+    // A bucket averages about one rank, but a steep tail packs thousands
+    // into one: after a few steps, binary-search the rest. cdf_.back()
+    // is 1.0 > u, so neither search runs off the end.
+    for (std::size_t step = 0; step < kLinearSteps; ++step, ++k) {
+      if (cdf_[k] >= u) return k;
+    }
+    return static_cast<std::uint64_t>(
+        std::lower_bound(cdf_.begin() + static_cast<std::ptrdiff_t>(k),
+                         cdf_.end(), u) -
+        cdf_.begin());
   }
 
   [[nodiscard]] double exponent() const { return s_; }
@@ -61,6 +69,9 @@ class ZipfSampler {
       std::uint64_t n, double top_frac);
 
  private:
+  /// Linear steps from the guide entry before the binary search.
+  static constexpr std::size_t kLinearSteps = 8;
+
   double s_;
   std::vector<double> cdf_;  ///< Normalized cumulative probabilities.
   /// guide_[j] is the first rank whose CDF entry is >= j/n.

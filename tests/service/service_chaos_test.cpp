@@ -7,7 +7,9 @@
 // -> healthy, and the retirement feed: degraded (sticky) -> dead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "common/config.h"
@@ -165,6 +167,53 @@ TEST(ServiceShardHealth, CrashDegradesThenHeals) {
   EXPECT_TRUE(saw_crash_cycle) << "chaos schedule never fired";
   EXPECT_GT(shard.outcome().crashes, 0u);
   EXPECT_EQ(shard.outcome().invariant_failures, 0u);
+}
+
+// execute_batch is execute() in groups: the same addresses through both,
+// under chaos with corruption, give the same crash penalty per write,
+// the same accepted count and the same final state. Snapshot rotation
+// every 64 writes falls inside groups as well as at their edges.
+TEST(ServiceShard, ExecuteBatchMatchesExecuteUnderChaos) {
+  const Config config = small_config();
+  ShardParams params;
+  params.chaos.mean_interval_writes = 40;
+  params.chaos.corruption = true;
+  params.horizon_writes = 6000;
+  params.snapshot_interval_writes = 64;
+
+  ServiceShard batched(config, params, /*index=*/1);
+  ServiceShard single(config, params, /*index=*/1);
+  const std::uint64_t pages = batched.logical_pages();
+  std::mt19937_64 rng(20170618);
+  std::vector<LogicalPageAddr> las(params.horizon_writes);
+  for (LogicalPageAddr& la : las) {
+    la = LogicalPageAddr(static_cast<std::uint32_t>(rng() % pages));
+  }
+
+  // Every position must be written, clean writes with 0.
+  constexpr Cycles kUnset = ~Cycles{0};
+  std::vector<Cycles> batch_penalty(las.size(), kUnset);
+  for (std::size_t i = 0; i < las.size();) {
+    const std::size_t n = std::min<std::size_t>(las.size() - i,
+                                                 1 + rng() % 24);
+    const ShardBatchOutcome bo =
+        batched.execute_batch(las.data() + i, n, batch_penalty.data() + i);
+    ASSERT_EQ(bo.executed, n) << "write " << i;
+    i += n;
+  }
+  std::uint64_t crashes = 0;
+  for (std::size_t i = 0; i < las.size(); ++i) {
+    const ShardExecOutcome ex = single.execute(las[i]);
+    crashes += ex.crashed ? 1 : 0;
+    ASSERT_EQ(batch_penalty[i], ex.penalty_cycles) << "write " << i;
+  }
+  EXPECT_GT(crashes, 50u);
+  EXPECT_EQ(batched.accepted(), single.accepted());
+  EXPECT_EQ(batched.accepted(), las.size());
+  EXPECT_EQ(batched.state_digest(), single.state_digest());
+  EXPECT_TRUE(batched.outcome() == single.outcome());
+  EXPECT_GT(batched.outcome().snapshot_fallbacks, 0u);
+  EXPECT_EQ(batched.outcome().invariant_failures, 0u);
 }
 
 // Retirement feed: consuming spares makes a shard sticky-degraded;
