@@ -1,32 +1,13 @@
 #include "common/checksum.h"
 
-#include <array>
-
 namespace twl {
 
-namespace {
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-constexpr auto kCrcTable = make_crc_table();
-
-}  // namespace
-
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
+  const auto& table = crc32_detail::kTables[0];
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i) {
-    c = kCrcTable[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -124,8 +123,8 @@ class MetadataJournal {
   [[nodiscard]] std::uint64_t truncations() const { return truncations_; }
 
  private:
-  /// Appends one encoded record and counts it.
-  void append_record(std::span<const std::uint8_t> record);
+  /// Counts one record just encoded into bytes_.
+  void count_record(std::size_t record_bytes);
 
   std::vector<std::uint8_t> bytes_;
   std::uint64_t total_bytes_ = 0;

@@ -81,6 +81,18 @@ void ServiceConfig::validate(const Config& config) const {
     throw std::invalid_argument("service config: service_cycles must be "
                                 "positive");
   }
+  // Each arrival moves its client's clock on by at most 2·gap − 1 cycles,
+  // so the last lands by requests_per_client × (2·gap − 1). Capping that
+  // at 2^62 leaves virtual time headroom that no queueing delay wraps.
+  constexpr Cycles kMaxArrivalCycles = Cycles{1} << 62;
+  if (mean_gap_cycles > 0 &&
+      (mean_gap_cycles > kMaxArrivalCycles / 2 ||
+       requests_per_client >
+           kMaxArrivalCycles / (2 * mean_gap_cycles - 1))) {
+    throw std::invalid_argument(
+        "service config: mean_gap_cycles too large: requests_per_client * "
+        "(2 * mean_gap_cycles - 1) must be at most 2^62 cycles");
+  }
   if (snapshot_interval_writes == 0) {
     throw std::invalid_argument(
         "service config: snapshot_interval_writes must be positive");
@@ -596,7 +608,7 @@ ServiceRunResult ServiceFrontEnd::run_realtime() const {
         const std::uint64_t deadline =
             service_.deadline_cycles == 0
                 ? 0
-                : submit + service_.deadline_cycles;
+                : sat_add_u64(submit, service_.deadline_cycles);
         staging[shard].push_back(RtItem{local_la, submit, deadline});
         if (staging[shard].size() >= kClientFlushBatch) flush(shard);
       }

@@ -197,7 +197,8 @@ void ShardEngine::serve(Event e) {
   const std::uint64_t depth =
       drr_ ? queued_total_ + in_service_ : outstanding_.size();
   const Cycles deadline = svc_.deadline_cycles;
-  const Cycles deadline_abs = deadline == 0 ? 0 : e.submit + deadline;
+  const Cycles deadline_abs =
+      deadline == 0 ? 0 : sat_add_u64(e.submit, deadline);
 
   // A request whose deadline already passed — while it waited out a
   // backoff or a blocked queue — is a timeout, not a shed.
@@ -324,7 +325,7 @@ void ShardEngine::start_drain(Cycles t) {
       const Queued item = q.front();
       q.pop_front();
       --queued_total_;
-      if (deadline != 0 && t > item.submit + deadline) {
+      if (deadline != 0 && t > sat_add_u64(item.submit, deadline)) {
         // Expired while queued — a timeout, not charged to the tenant's
         // deficit.
         ++book.timed_out;
@@ -352,7 +353,7 @@ void ShardEngine::start_drain(Cycles t) {
       if (penalties_[p] > 0) unavail_until_ = comp;
       ++book.accepted;
       latency_hist_->add(comp - submits_[p]);
-      if (deadline != 0 && comp > submits_[p] + deadline) {
+      if (deadline != 0 && comp > sat_add_u64(submits_[p], deadline)) {
         ++book.deadline_overruns;
       }
     }

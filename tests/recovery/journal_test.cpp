@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "common/config.h"
@@ -32,8 +32,7 @@ std::uint32_t bitwise_crc32(const std::vector<std::uint8_t>& bytes) {
 
 /// A record as the format comment in journal.h spells it: the given
 /// type, length and payload bytes, then their CRC-32, little-endian.
-std::vector<std::uint8_t> record(std::initializer_list<std::uint8_t> head) {
-  std::vector<std::uint8_t> bytes(head);
+std::vector<std::uint8_t> record(std::vector<std::uint8_t> bytes) {
   const std::uint32_t crc = bitwise_crc32(bytes);
   for (int shift = 0; shift < 32; shift += 8) {
     bytes.push_back(static_cast<std::uint8_t>(crc >> shift));
@@ -194,6 +193,93 @@ TEST(Journal, WireBytesMatchTheFormat) {
   EXPECT_EQ(all.bytes(), all_want);
   EXPECT_EQ(all.total_bytes_appended(), all_want.size());
   EXPECT_EQ(all.total_records_appended(), 6u);
+}
+
+/// Appends the low `width` bytes of `v`, least significant first.
+void put_le(std::vector<std::uint8_t>& bytes, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+TEST(Journal, BatchWireBytesMatchTheFormatAtEveryCount) {
+  std::mt19937_64 rng(20170618);
+  MetadataJournal all;
+  std::vector<std::uint8_t> all_want;
+  std::vector<std::vector<LogicalPageAddr>> all_las;
+  std::vector<std::uint64_t> all_seqs;
+  for (std::size_t count = 1; count <= kMaxJournalBatch; ++count) {
+    SCOPED_TRACE(testing::Message() << "count " << count);
+    const std::uint64_t seq = rng();
+    std::vector<LogicalPageAddr> las;
+    std::vector<std::uint8_t> begin = {
+        0x05, static_cast<std::uint8_t>(9 + 4 * count)};
+    put_le(begin, seq, 8);
+    put_le(begin, count, 1);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto la = static_cast<std::uint32_t>(rng());
+      las.emplace_back(la);
+      put_le(begin, la, 4);
+    }
+    std::vector<std::uint8_t> commit = {0x06, 0x09};
+    put_le(commit, seq, 8);
+    put_le(commit, count, 1);
+    const std::vector<std::uint8_t> want_begin = record(begin);
+    const std::vector<std::uint8_t> want_commit = record(commit);
+
+    MetadataJournal one_begin;
+    one_begin.append_batch_begin(seq, las.data(), count);
+    EXPECT_EQ(one_begin.bytes(), want_begin);
+    MetadataJournal one_commit;
+    one_commit.append_batch_commit(seq, count);
+    EXPECT_EQ(one_commit.bytes(), want_commit);
+
+    all.append_batch_begin(seq, las.data(), count);
+    all.append_batch_commit(seq, count);
+    all_want.insert(all_want.end(), want_begin.begin(), want_begin.end());
+    all_want.insert(all_want.end(), want_commit.begin(), want_commit.end());
+    all_las.push_back(las);
+    all_seqs.push_back(seq);
+  }
+  EXPECT_EQ(all.bytes(), all_want);
+  EXPECT_EQ(all.total_bytes_appended(), all_want.size());
+  EXPECT_EQ(all.total_records_appended(), 2 * kMaxJournalBatch);
+
+  const JournalScan scan = scan_journal(all.bytes());
+  EXPECT_FALSE(scan.torn_tail);
+  ASSERT_EQ(scan.records.size(), 2 * kMaxJournalBatch);
+  for (std::size_t i = 0; i < kMaxJournalBatch; ++i) {
+    const JournalRecord& begin = scan.records[2 * i];
+    const JournalRecord& commit = scan.records[2 * i + 1];
+    EXPECT_EQ(begin.type, JournalRecordType::kBatchBegin);
+    EXPECT_EQ(begin.seq, all_seqs[i]);
+    EXPECT_EQ(begin.batch_count, i + 1);
+    EXPECT_EQ(begin.batch_las, all_las[i]);
+    EXPECT_EQ(commit.type, JournalRecordType::kBatchCommit);
+    EXPECT_EQ(commit.seq, all_seqs[i]);
+    EXPECT_EQ(commit.batch_count, i + 1);
+  }
+}
+
+TEST(Journal, ScanSizesItsRecordsOnce) {
+  MetadataJournal journal;
+  const LogicalPageAddr las[] = {LogicalPageAddr(3), LogicalPageAddr(4)};
+  journal.append_batch_begin(1, las, 2);
+  journal.append_write_begin(3, LogicalPageAddr(5));
+  journal.append_swap_intent(PhysicalPageAddr(0), PhysicalPageAddr(9),
+                             SwapKind::kExchange);
+  journal.append_swap_commit();
+  journal.append_write_commit(3);
+  journal.append_batch_commit(1, 2);
+  std::vector<std::uint8_t> bytes = journal.bytes();
+  bytes.push_back(0x01);  // A torn header after six valid records.
+
+  const JournalScan scan = scan_journal(bytes);
+  EXPECT_TRUE(scan.torn_tail);
+  EXPECT_EQ(scan.valid_bytes, journal.bytes().size());
+  EXPECT_EQ(scan.records.size(), 6u);
+  // Counted before decoding: reserved once, never regrown.
+  EXPECT_EQ(scan.records.capacity(), scan.records.size());
 }
 
 TEST(Journal, DetectsCorruptedRecord) {

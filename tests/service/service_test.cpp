@@ -85,6 +85,32 @@ TEST(ServiceConfigValidate, RejectsNonsense) {
   EXPECT_THROW((void)ServiceFrontEnd(faulty, s), std::invalid_argument);
 }
 
+TEST(ServiceConfigValidate, RejectsAGapWhoseLastArrivalPassesTheLimit) {
+  const Config config = small_config();
+  constexpr Cycles kLimit = Cycles{1} << 62;
+  const auto builds = [&](std::uint64_t requests, Cycles gap) {
+    ServiceConfig s = small_service();
+    s.requests_per_client = requests;
+    s.mean_gap_cycles = gap;
+    (void)ServiceFrontEnd(config, s);
+  };
+  // The last arrival lands by requests * (2 * gap - 1) cycles.
+  EXPECT_NO_THROW(builds(1, kLimit / 2));       // 2^62 - 1.
+  EXPECT_NO_THROW(builds(2, kLimit / 4));       // 2^62 - 2.
+  EXPECT_THROW(builds(1, kLimit / 2 + 1), std::invalid_argument);
+  EXPECT_THROW(builds(3, kLimit / 4), std::invalid_argument);
+  EXPECT_THROW(builds(8, kLimit), std::invalid_argument);
+  // 2 * gap would wrap here; the check must not.
+  EXPECT_THROW(builds(1, ~Cycles{0}), std::invalid_argument);
+  EXPECT_THROW(builds(~std::uint64_t{0}, 1), std::invalid_argument);
+  try {
+    builds(8, kLimit);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("2^62"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServiceRouting, PoliciesCoverAllShardsAndStayInRange) {
   const Config config = small_config();
   for (const ShardingPolicy policy :
@@ -249,6 +275,38 @@ TEST(ServiceVirtual, DeadlinesTimeOutDoomedRequests) {
       }
       EXPECT_GT(r.totals.deadline_overruns, 0u);
     }
+  }
+}
+
+TEST(ServiceVirtual, LargestDeadlineEqualsNoDeadline) {
+  const Config config = small_config();
+  // FIFO with shed-and-retry checks the deadline at arrival and after each
+  // backoff; DRR also checks it when a drain takes a request and again at
+  // completion.
+  for (const std::uint32_t tenants : {1u, 2u}) {
+    ServiceConfig s = small_service();
+    s.clients = 2;
+    s.requests_per_client = 1500;
+    s.service_cycles = 800;
+    s.tenancy.tenants = tenants;
+    if (tenants == 1) {
+      s.overflow = OverflowPolicy::kShed;
+      s.max_retries = 2;
+    }
+    const ServiceFrontEnd none(config, s);
+    s.deadline_cycles = ~Cycles{0};
+    const ServiceFrontEnd largest(config, s);
+
+    SimRunner runner(1);
+    const ServiceRunResult a = none.run_virtual(runner);
+    const ServiceRunResult b = largest.run_virtual(runner);
+    EXPECT_GT(b.totals.accepted, 0u) << tenants;
+    EXPECT_EQ(b.totals.timed_out, 0u) << tenants;
+    EXPECT_EQ(b.totals.deadline_overruns, 0u) << tenants;
+    EXPECT_EQ(a.totals, b.totals) << tenants;
+    EXPECT_EQ(a.tenants, b.tenants) << tenants;
+    EXPECT_EQ(a.service_digest, b.service_digest) << tenants;
+    EXPECT_TRUE(a == b) << tenants;
   }
 }
 
