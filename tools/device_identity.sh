@@ -46,3 +46,7 @@ run quickstart  "$build/examples/quickstart"
 run attack_demo "$build/examples/attack_demo"
 run crash_rec   "$build/examples/crash_recovery" --writes 200
 run fault_tol   "$build/examples/fault_tolerance"
+# Replays a recorded trace in loops: the loop count in its output moves if
+# a simulator draws ahead of the writes it submits. A fixed --trace path,
+# since the example prints it.
+run trace_replay "$build/examples/trace_replay" --trace /tmp/twl_identity_replay.trc
