@@ -82,6 +82,19 @@ void BM_XorShift(benchmark::State& state) {
   }
 }
 
+/// The floor under one canneal write: the serial xorshift64* chain its
+/// draws take, 7.25 steps per write (2.5 requests per write at read_frac
+/// 0.6, 2.9 draws per request), so 29 steps per 4 items.
+void BM_XorShiftChain(benchmark::State& state) {
+  XorShift64Star rng(1);
+  for (auto _ : state) {
+    std::uint64_t x = 0;
+    for (int i = 0; i < 29; ++i) x ^= rng.next();
+    benchmark::DoNotOptimize(x);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 4));
+}
+
 /// One Zipf draw over range(0) ranks at exponent `s`.
 void BM_ZipfSample(benchmark::State& state, double s) {
   ZipfSampler z(static_cast<std::uint64_t>(state.range(0)), s);
@@ -108,13 +121,37 @@ void BM_SyntheticNextFiltered(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-/// The same writes through next_write(), which maps no read to a page.
-void BM_SyntheticNextWrite(benchmark::State& state) {
-  const auto source = canneal_source();
+/// Writes drawn through next_write() from the source `make` builds.
+void BM_NextWriteOf(benchmark::State& state,
+                    std::unique_ptr<SyntheticTrace> (*make)()) {
+  const auto source = make();
   for (auto _ : state) {
     benchmark::DoNotOptimize(source->next_write());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+/// The same writes through next_write(), which maps no read to a page.
+void BM_SyntheticNextWrite(benchmark::State& state) {
+  BM_NextWriteOf(state, canneal_source);
+}
+
+/// The stream FleetStream, the service clients and the crash simulator
+/// draw: canneal's model over 256 pages with no reads.
+std::unique_ptr<SyntheticTrace> fleet_source() {
+  SyntheticParams p = canneal_source()->params();
+  p.read_frac = 0.0;
+  return std::make_unique<SyntheticTrace>(p, "fleet");
+}
+
+/// Canneal over 65536 pages: Zipf tables far larger than the L1 cache.
+std::unique_ptr<SyntheticTrace> canneal_large_source() {
+  return parsec_benchmark("canneal").make_source(65536, 1);
+}
+
+/// Vips, a streaming-heavy model (stream_frac 0.4), over 256 pages.
+std::unique_ptr<SyntheticTrace> vips_source() {
+  return parsec_benchmark("vips").make_source(256, 1);
 }
 
 void BM_RemappingSwap(benchmark::State& state) {
@@ -212,11 +249,15 @@ BENCHMARK_CAPTURE(BM_SchemeWriteTimed, NOWL, Scheme::kNoWl);
 BENCHMARK_CAPTURE(BM_SchemeWriteTimed, TWL, Scheme::kTossUpStrongWeak);
 BENCHMARK(BM_Feistel8);
 BENCHMARK(BM_XorShift);
+BENCHMARK(BM_XorShiftChain);
 BENCHMARK_CAPTURE(BM_ZipfSample, s1, 1.0)->Arg(1024)->Arg(65536);
 // The canneal model's exponent at 256 pages.
 BENCHMARK_CAPTURE(BM_ZipfSample, canneal, 1.1986)->Arg(256);
 BENCHMARK(BM_SyntheticNextFiltered);
 BENCHMARK(BM_SyntheticNextWrite);
+BENCHMARK_CAPTURE(BM_NextWriteOf, fleet, fleet_source);
+BENCHMARK_CAPTURE(BM_NextWriteOf, canneal65536, canneal_large_source);
+BENCHMARK_CAPTURE(BM_NextWriteOf, vips, vips_source);
 BENCHMARK(BM_RemappingSwap);
 BENCHMARK(BM_JournalWritePair);
 BENCHMARK(BM_JournalBatch)->Arg(1)->Arg(16)->Arg(32);

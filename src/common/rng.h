@@ -11,6 +11,7 @@
 // toss-up consumes exactly the randomness the proposed hardware would have.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace twl {
@@ -35,18 +36,39 @@ class XorShift64Star {
   explicit XorShift64Star(std::uint64_t seed);
 
   // Inline: every synthetic request draws two or three of these.
-  std::uint64_t next() {
-    state_ ^= state_ >> 12;
-    state_ ^= state_ << 25;
-    state_ ^= state_ >> 27;
-    return state_ * 0x2545F4914F6CDD1DULL;
+  std::uint64_t next() { return step(state_); }
+
+  /// One xorshift64* step on a bare state word, the step next() takes:
+  /// for kernels that keep a copy of the state in a register.
+  static std::uint64_t step(std::uint64_t& state) {
+    state ^= state >> 12;
+    state ^= state << 25;
+    state ^= state >> 27;
+    return state * 0x2545F4914F6CDD1DULL;
   }
+
+  /// The 53 high bits of the next draw, the integer next_double() scales:
+  /// next_double() is exactly next_u53() * 2^-53.
+  std::uint64_t next_u53() { return next() >> 11; }
 
   /// Uniform double in [0, 1).
   double next_double() {
-    // 53 high bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    return static_cast<double>(next_u53()) * 0x1.0p-53;
   }
+
+  /// The integer coin for a probability p in [0, 1]: next_double() < p
+  /// exactly when next_u53() < u53_below(p). Both x * 2^-53 and p * 2^53
+  /// are exact, so x * 2^-53 < p means x < p * 2^53, and for an integer
+  /// x that is x < ceil(p * 2^53).
+  static std::uint64_t u53_below(double p) {
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+
+  /// The bare state word, for a kernel that steps a copy with step() and
+  /// stores it back with set_state(). The cached Box–Muller draw is not
+  /// part of it.
+  [[nodiscard]] std::uint64_t state() const { return state_; }
+  void set_state(std::uint64_t state) { state_ = state; }
 
   /// Uniform integer in [0, bound). bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound);

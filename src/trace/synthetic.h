@@ -8,6 +8,8 @@
 // plus a configurable read fraction.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,13 +47,21 @@ struct SyntheticParams {
 
 class SyntheticTrace final : public RequestSource {
  public:
+  /// Writes next_write() draws ahead at a time.
+  static constexpr std::size_t kBlockWrites = 256;
+
+  /// Throws std::invalid_argument naming the field unless pages lies in
+  /// [1, 2^32], read_frac in [0, 1), stream_frac in [0, 1] and zipf_s is
+  /// finite.
   explicit SyntheticTrace(const SyntheticParams& params,
                           std::string name = "synthetic");
 
   [[nodiscard]] std::string name() const override { return name_; }
 
   MemoryRequest next() override;
-  /// Draws exactly what next() draws, but maps no Zipf read to its page.
+  /// The writes next() gives, reads dropped, popped from a block of
+  /// kBlockWrites drawn ahead; next() carries on from the last write
+  /// handed out.
   LogicalPageAddr next_write() override;
 
   /// The page receiving the largest share of writes (for calibration
@@ -63,26 +73,40 @@ class SyntheticTrace final : public RequestSource {
   [[nodiscard]] const SyntheticParams& params() const { return params_; }
 
  private:
-  /// One request. Every request consumes the same draws in the same
-  /// order: the read coin, the stream coin, then the Zipf u unless it
-  /// streams (a streaming read advances the stream position too). With
-  /// `map_reads` false a Zipf read's address is left 0: rank_of and the
-  /// scatter lookup consume no randomness, so skipping them leaves the
-  /// stream of later requests unchanged.
-  [[nodiscard]] MemoryRequest draw(bool map_reads);
+  /// One request, the order of the draws that defines the stream: the
+  /// read coin, the stream coin, then the Zipf draw unless the request
+  /// streams (a streaming read advances the stream position too).
+  [[nodiscard]] MemoryRequest draw();
+
+  /// Draws the next kBlockWrites writes into block_: exactly the draws
+  /// draw() makes for them, without a branch on a coin.
+  void refill();
+
+  /// Puts the generator where the writes handed out leave it: back to
+  /// the block's start, then those writes again through draw().
+  void rewind();
 
   SyntheticParams params_;
   std::string name_;
+  std::uint64_t read_below_;    ///< A 53-bit read coin below this reads.
+  std::uint64_t stream_below_;  ///< A 53-bit stream coin below this streams.
   XorShift64Star rng_;
   ZipfSampler zipf_;
   std::vector<std::uint32_t> rank_to_page_;  ///< Scatter permutation.
   std::uint64_t stream_pos_ = 0;
+
+  std::array<std::uint32_t, kBlockWrites> block_{};
+  std::size_t head_ = kBlockWrites;  ///< Next write of block_ to hand out.
+  std::uint64_t block_state_ = 0;    ///< rng_ at the block's first draw.
+  std::uint64_t block_stream_pos_ = 0;  ///< stream_pos_ there.
 };
 
 /// Uniform-random request stream (used by tests and the random attack's
 /// open-loop cousin).
 class UniformTrace final : public RequestSource {
  public:
+  /// Throws std::invalid_argument naming the field unless pages lies in
+  /// [1, 2^32] and read_frac in [0, 1).
   UniformTrace(std::uint64_t pages, double read_frac, std::uint64_t seed);
 
   [[nodiscard]] std::string name() const override { return "uniform"; }

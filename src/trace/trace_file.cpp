@@ -104,6 +104,7 @@ TraceFileSource::TraceFileSource(const std::string& path) : name_(path) {
     }
     records_.push_back(MemoryRequest{op == "W" ? Op::kWrite : Op::kRead,
                                      LogicalPageAddr(page)});
+    has_write_ = has_write_ || op == "W";
   }
   if (records_.empty()) {
     throw std::runtime_error("trace file has no records: " + path);
@@ -117,6 +118,13 @@ MemoryRequest TraceFileSource::next() {
     ++loops_;
   }
   return req;
+}
+
+LogicalPageAddr TraceFileSource::next_write() {
+  if (!has_write_) {
+    throw std::runtime_error("trace file has no write records: " + name_);
+  }
+  return RequestSource::next_write();
 }
 
 RecordingSource::RecordingSource(std::unique_ptr<RequestSource> inner,

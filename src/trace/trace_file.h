@@ -48,6 +48,9 @@ class TraceFileSource final : public RequestSource {
 
   [[nodiscard]] std::string name() const override { return name_; }
   MemoryRequest next() override;
+  /// next() with the reads skipped, counting loops() the same way.
+  /// Throws std::runtime_error naming the file if it holds no write.
+  LogicalPageAddr next_write() override;
 
   [[nodiscard]] std::size_t records() const { return records_.size(); }
   /// How many times the trace has wrapped around.
@@ -56,6 +59,7 @@ class TraceFileSource final : public RequestSource {
  private:
   std::string name_;
   std::vector<MemoryRequest> records_;
+  bool has_write_ = false;
   std::size_t pos_ = 0;
   std::uint64_t loops_ = 0;
 };

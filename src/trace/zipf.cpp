@@ -1,35 +1,54 @@
 #include "trace/zipf.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace twl {
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double s) : s_(s) {
-  assert(n > 0 && n - 1 <= UINT32_MAX);  // Ranks fit the guide table.
-  cdf_.reserve(n);
-  double cum = 0.0;
+  if (n == 0 || n > (std::uint64_t{1} << 32)) {
+    throw std::invalid_argument(
+        "ZipfSampler: n (ranks) must lie in [1, 2^32], got " +
+        std::to_string(n));
+  }
+  if (!std::isfinite(s)) {
+    throw std::invalid_argument(
+        "ZipfSampler: exponent s must be finite, got " + std::to_string(s));
+  }
+  // The CDF the draw is defined by is the normalized running sum of
+  // (k+1)^-s, its last entry pinned to 1. Each cut is that entry times
+  // 2^53 (exact), rounded down.
+  std::vector<double> sums(n);
+  double total = 0.0;
   for (std::uint64_t k = 0; k < n; ++k) {
-    cum += std::pow(static_cast<double>(k + 1), -s);
-    cdf_.push_back(cum);
+    total += std::pow(static_cast<double>(k + 1), -s);
+    sums[k] = total;
   }
-  const double total = cdf_.back();
-  for (double& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // Guard against rounding.
+  if (!std::isfinite(total)) {
+    throw std::invalid_argument("ZipfSampler: exponent s = " +
+                                std::to_string(s) +
+                                " makes the weights' sum overflow");
+  }
+  top_ = sums.front() / total;
+  cuts_.resize(n);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    cuts_[k] = static_cast<std::uint64_t>(sums[k] / total * 0x1.0p53);
+  }
+  cuts_.back() = kU53;  // Guard against rounding.
 
-  // One sweep: the thresholds j/n rise, so the rank only moves forward.
-  // cdf_.back() is 1.0 > j/n, which keeps k in range.
-  guide_.resize(n);
+  // One sweep: the bucket floors rise, so the rank only moves forward.
+  // cuts_.back() is 2^53, above every floor, which keeps k in range.
+  const int bits = std::bit_width(n - 1);
+  guide_shift_ = static_cast<unsigned>(53 - bits);
+  guide_.resize(std::size_t{1} << bits);
   std::uint32_t k = 0;
-  for (std::uint64_t j = 0; j < n; ++j) {
-    const double threshold = static_cast<double>(j) / static_cast<double>(n);
-    while (cdf_[k] < threshold) ++k;
-    guide_[j] = k;
+  for (std::uint64_t b = 0; b < guide_.size(); ++b) {
+    while (cuts_[k] < b << guide_shift_) ++k;
+    guide_[b] = k;
   }
-}
-
-double ZipfSampler::top_probability() const {
-  return cdf_.front();
 }
 
 double ZipfSampler::harmonic(std::uint64_t n, double s) {

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -83,6 +84,48 @@ TEST(XorShift64Star, GaussianMomentsMatchStandardNormal) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.01);
   EXPECT_NEAR(sq / n, 1.0, 0.02);
+}
+
+TEST(XorShift64Star, U53DrawIsWhatNextDoubleScales) {
+  XorShift64Star a(17);
+  XorShift64Star b(17);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(static_cast<double>(a.next_u53()) * 0x1.0p-53,
+              b.next_double());
+  }
+}
+
+TEST(XorShift64Star, U53CoinFlipsWhereTheDoubleComparisonDoes) {
+  // x * 2^-53 < p must hold exactly for the draws x below u53_below(p):
+  // check both draws at that edge. 0.6 * 2^53 has a fraction, 0.5 * 2^53
+  // has none, and the ends of [0, 1] put the edge at 0 and 2^53.
+  constexpr std::uint64_t kU53 = std::uint64_t{1} << 53;
+  std::vector<double> ps = {0.0, 0x1.0p-53, 0x1.8p-53, 0.1, 0.5, 0.6,
+                            0.95, 1.0 - 0x1.0p-53, 1.0};
+  XorShift64Star rng(23);
+  for (int i = 0; i < 1000; ++i) ps.push_back(rng.next_double());
+  for (const double p : ps) {
+    const std::uint64_t below = XorShift64Star::u53_below(p);
+    ASSERT_LE(below, kU53) << p;
+    if (below > 0) {
+      EXPECT_LT(static_cast<double>(below - 1) * 0x1.0p-53, p) << p;
+    }
+    if (below < kU53) {
+      EXPECT_FALSE(static_cast<double>(below) * 0x1.0p-53 < p) << p;
+    }
+  }
+}
+
+TEST(XorShift64Star, StepAdvancesABareStateAsNextDoes) {
+  XorShift64Star rng(29);
+  std::uint64_t state = rng.state();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(XorShift64Star::step(state), rng.next());
+  }
+  EXPECT_EQ(state, rng.state());
+  XorShift64Star other(31);
+  other.set_state(state);
+  EXPECT_EQ(other.next(), rng.next());
 }
 
 TEST(Feistel8, EncryptIsAPermutationOfBytes) {

@@ -4,6 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+
+#include "sim/lifetime_sim.h"
 
 namespace twl {
 namespace {
@@ -158,6 +162,46 @@ TEST_F(TraceFileTest, MissingFileThrows) {
 TEST_F(TraceFileTest, WriterToUnwritablePathThrows) {
   EXPECT_THROW(TraceFileWriter{"/nonexistent/dir/trace.trc"},
                std::runtime_error);
+}
+
+TEST_F(TraceFileTest, NextWriteSkipsReadsAndCountsLoopsAsNextDoes) {
+  write_file("R 9\nW 1\nR 8\nR 7\nW 2\nW 3\nR 6\n");
+  TraceFileSource filtered(path_);
+  TraceFileSource writes_only(path_);
+  // Seven wraps and a part-pass, one write at a time.
+  for (int i = 0; i < 23; ++i) {
+    LogicalPageAddr expected;
+    for (;;) {
+      const MemoryRequest req = filtered.next();
+      if (req.op == Op::kWrite) {
+        expected = req.addr;
+        break;
+      }
+    }
+    ASSERT_EQ(writes_only.next_write(), expected) << i;
+    ASSERT_EQ(writes_only.loops(), filtered.loops()) << i;
+  }
+  EXPECT_EQ(writes_only.loops(), 7u);
+  // Both cursors sit on the same record.
+  EXPECT_EQ(writes_only.next().addr, filtered.next().addr);
+}
+
+TEST_F(TraceFileTest, ReadsOnlyTraceThrowsInsteadOfHangingALifetimeRun) {
+  write_file("R 1\nR 2\n");
+  TraceFileSource reads_only(path_);
+  EXPECT_EQ(reads_only.next().op, Op::kRead);  // next() still replays it.
+  SimScale scale;
+  scale.pages = 64;
+  scale.endurance_mean = 1000;
+  const LifetimeSimulator sim(Config::scaled(scale));
+  try {
+    (void)sim.run(Scheme::kNoWl, reads_only, 1000);
+    ADD_FAILURE() << "a trace with no write ran";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path_), std::string::npos) << what;
+    EXPECT_NE(what.find("no write"), std::string::npos) << what;
+  }
 }
 
 TEST_F(TraceFileTest, RecordingSourceTees) {

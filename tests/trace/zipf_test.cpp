@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace twl {
@@ -79,41 +82,53 @@ std::uint64_t lower_bound_rank(const std::vector<double>& cdf, double u) {
       std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
 }
 
+constexpr std::uint64_t kU53 = std::uint64_t{1} << 53;
+
 TEST(ZipfSampler, RankOfEqualsLowerBound) {
-  // s = 0 puts the CDF entries on the j/n boundaries the guide table
-  // indexes by; 1.1986 is the canneal model's exponent at 256 pages.
+  // rank_of takes the 53-bit draw x that next_double() scales to
+  // u = x * 2^-53, the only values next_double() produces. s = 0 puts
+  // the CDF entries on bucket edges; 1.1986 is the canneal model's
+  // exponent at 256 pages.
   for (const std::uint64_t n : {1u, 2u, 3u, 256u, 65536u}) {
     for (const double s : {0.0, 0.426, 1.0, 1.1986, 3.0}) {
       SCOPED_TRACE(::testing::Message() << "n=" << n << " s=" << s);
       const ZipfSampler z(n, s);
       const std::vector<double> cdf = reference_cdf(n, s);
       std::uint64_t mismatches = 0;
-      const auto check = [&](double u) {
-        if (u < 0.0 || u >= 1.0) return;
-        if (z.rank_of(u) != lower_bound_rank(cdf, u)) {
+      const auto check = [&](std::uint64_t x) {
+        if (x >= kU53) return;
+        const double u = static_cast<double>(x) * 0x1.0p-53;
+        if (z.rank_of(x) != lower_bound_rank(cdf, u)) {
           if (++mismatches <= 5) {
-            ADD_FAILURE() << "u=" << u << " (" << std::hexfloat << u
+            ADD_FAILURE() << "x=" << x << " (u=" << std::hexfloat << u
                           << std::defaultfloat << "): rank_of "
-                          << z.rank_of(u) << ", lower_bound "
+                          << z.rank_of(x) << ", lower_bound "
                           << lower_bound_rank(cdf, u);
           }
         }
       };
-      const auto check_around = [&](double x) {
-        check(std::nextafter(x, 0.0));
+      const auto check_around = [&](std::uint64_t x) {
+        if (x > 0) check(x - 1);
         check(x);
-        check(std::nextafter(x, 1.0));
+        check(x + 1);
       };
-      check(0.0);
-      check(std::nextafter(1.0, 0.0));
-      for (const double c : cdf) check_around(c);
-      for (std::uint64_t j = 0; j < n; ++j) {
-        check_around(static_cast<double>(j) / static_cast<double>(n));
+      check(0);
+      check(kU53 - 1);
+      for (const double c : cdf) {
+        check_around(static_cast<std::uint64_t>(c * 0x1.0p53));
+      }
+      // The guide indexes by the draw's top bits, one bucket per rank
+      // rounded up to a power of two; check that grid and one twice as
+      // fine.
+      const int bits = std::bit_width(n - 1);
+      for (const int b : {bits, bits + 1}) {
+        const std::uint64_t width = kU53 >> b;
+        for (std::uint64_t edge = 0; edge < kU53; edge += width) {
+          check_around(edge);
+        }
       }
       std::mt19937_64 gen(n * 1000003u + static_cast<std::uint64_t>(s * 1e4));
-      for (int i = 0; i < 1000000; ++i) {
-        check(static_cast<double>(gen() >> 11) * 0x1.0p-53);
-      }
+      for (int i = 0; i < 1000000; ++i) check(gen() >> 11);
       EXPECT_EQ(mismatches, 0u);
     }
   }
@@ -126,6 +141,32 @@ TEST(ZipfSampler, SampleIsRankOfOneUniformDraw) {
   XorShift64Star twin(11);
   for (int i = 0; i < 100000; ++i) {
     ASSERT_EQ(z.sample(rng), lower_bound_rank(cdf, twin.next_double()));
+  }
+}
+
+TEST(ZipfSampler, RejectsRankCountsOutsideThe32BitRange) {
+  for (const std::uint64_t n : {std::uint64_t{0},
+                                (std::uint64_t{1} << 32) + 1}) {
+    try {
+      const ZipfSampler z(n, 1.0);
+      ADD_FAILURE() << "n=" << n << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("n (ranks)"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ZipfSampler, RejectsAnExponentWithoutAFiniteCdf) {
+  // -2000 is finite, but 2^2000 overflows the sum of the weights.
+  for (const double s : {std::nan(""), HUGE_VAL, -HUGE_VAL, -2000.0}) {
+    try {
+      const ZipfSampler z(4, s);
+      ADD_FAILURE() << "s=" << s << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("exponent s"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
