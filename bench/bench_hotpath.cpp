@@ -1,9 +1,8 @@
-// Hot-path speed program: before/after ns/op for each stage of the
-// controller write path (translate -> DCW -> wear update) and for the
-// end-to-end demand write, per scheme.
+// Hot-path speed program: before/after ns/op for the end-to-end demand
+// write, per scheme, and for the device's wear update.
 //
-//   before = translation cache off, per-write submit()   (the old path)
-//   after  = translation cache on,  submit_write_batch()  (the new path)
+//   before = per-write submit()
+//   after  = submit_write_batch()
 //
 // The two paths must produce bit-identical physical write streams; every
 // configuration's final state is digested (CRC-32 over the device wear
@@ -12,9 +11,8 @@
 // hotpath job runs this in Release and diffs the committed
 // BENCH_hotpath.json rows against the acceptance bar.
 //
-// Stage benches isolate the optimizations the end-to-end row aggregates:
-//   translate    map_read() with the TLB-style cache off vs on
-//   dcw          branchy reference compare vs branchless dcw_compare()
+// The stage bench isolates the one device-side change the end-to-end row
+// aggregates:
 //   wear_update  write()+worn_out() double lookup vs write_became_worn()
 #include <chrono>
 #include <cstdint>
@@ -27,7 +25,6 @@
 #include "common/cli.h"
 #include "common/config.h"
 #include "common/rng.h"
-#include "pcm/dcw.h"
 #include "pcm/device.h"
 #include "pcm/endurance.h"
 #include "recovery/journal.h"
@@ -52,23 +49,17 @@ volatile std::uint64_t g_sink = 0;
 /// builds (single-threaded main, set once before any bench runs).
 DeviceParams g_device{};
 
-Config bench_config(std::uint64_t pages, std::uint64_t seed, bool cache_on) {
+Config bench_config(std::uint64_t pages, std::uint64_t seed) {
   SimScale scale;
   scale.pages = pages;
   scale.endurance_mean = 1e12;  // Never fails during the benchmark.
   scale.seed = seed;
   Config config = Config::scaled(scale);
-  config.hotpath.translation_cache = cache_on;
-  // Size the cache to the device: a lifetime simulation keeps the whole
-  // (scaled) logical space warm, so the default 1024 entries would just
-  // measure conflict misses.
-  config.hotpath.cache_entries =
-      static_cast<std::uint32_t>(pages < (1u << 20) ? pages : (1u << 20));
   config.device = g_device;
   return config;
 }
 
-/// Demand-write address stream with cache-friendly locality: 3 of 4
+/// Demand-write address stream with locality: 3 of 4
 /// writes hit a small hot set, the rest are uniform — the skew every
 /// wear-leveling paper assumes (it is what makes leveling necessary).
 std::vector<LogicalPageAddr> make_stream(std::uint64_t pages,
@@ -92,8 +83,8 @@ std::uint32_t crc_u64(std::uint64_t v, std::uint32_t seed) {
 }
 
 /// Digest of everything the hot path is allowed to change: per-page wear,
-/// the scheme's serialized metadata and the physical write count. Cache
-/// on/off and batch/single must agree byte for byte.
+/// the scheme's serialized metadata and the physical write count. Batch
+/// and single submission must agree byte for byte.
 std::uint32_t state_digest(const MemoryController& mc) {
   std::uint32_t c = 0;
   const Device& dev = mc.device();
@@ -115,11 +106,11 @@ struct EndToEndResult {
 EndToEndResult run_end_to_end(const std::string& spec,
                               const std::vector<LogicalPageAddr>& las,
                               std::uint64_t pages, std::uint64_t seed,
-                              bool cache_on, bool batch_on, unsigned reps) {
+                              bool batch_on, unsigned reps) {
   EndToEndResult result;
   double best = 0.0;
   for (unsigned rep = 0; rep < reps; ++rep) {
-    const Config config = bench_config(pages, seed, cache_on);
+    const Config config = bench_config(pages, seed);
     const EnduranceMap map(pages, config.endurance, config.seed);
     const auto device = make_latch_device(map, config);
     const auto wl = make_wear_leveler_spec(spec, map, config);
@@ -145,90 +136,10 @@ EndToEndResult run_end_to_end(const std::string& spec,
   return result;
 }
 
-double time_translate(const std::string& spec,
-                      const std::vector<LogicalPageAddr>& las,
-                      std::uint64_t pages, std::uint64_t seed, bool cache_on,
-                      unsigned reps, unsigned passes) {
-  const Config config = bench_config(pages, seed, cache_on);
-  const EnduranceMap map(pages, config.endurance, config.seed);
-  const auto wl = make_wear_leveler_spec(spec, map, config);
-  double best = 0.0;
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    std::uint64_t acc = 0;
-    const auto t0 = Clock::now();
-    for (unsigned pass = 0; pass < passes; ++pass) {
-      for (const LogicalPageAddr la : las) {
-        acc ^= wl->map_read(la).value();
-      }
-    }
-    const double elapsed = seconds_since(t0);
-    g_sink = acc;
-    if (rep == 0 || elapsed < best) best = elapsed;
-  }
-  return best * 1e9 / static_cast<double>(las.size() * passes);
-}
-
-/// The pre-audit data-comparison write: one conditional per word, one
-/// shift-and-test loop per changed word. What dcw_compare() replaced.
-DcwResult dcw_compare_reference(std::span<const std::uint64_t> old_words,
-                                std::span<const std::uint64_t> new_words,
-                                std::size_t words_per_line) {
-  DcwResult r;
-  for (std::size_t base = 0; base < old_words.size(); base += words_per_line) {
-    bool dirty = false;
-    for (std::size_t w = base; w < base + words_per_line; ++w) {
-      if (old_words[w] != new_words[w]) {
-        dirty = true;
-        std::uint64_t x = old_words[w] ^ new_words[w];
-        while (x != 0) {
-          r.flipped_bits += x & 1u;
-          x >>= 1;
-        }
-      }
-    }
-    if (dirty) ++r.changed_lines;
-  }
-  return r;
-}
-
-template <typename Compare>
-double time_dcw(Compare compare, const PcmGeometry& geometry,
-                std::uint64_t seed, unsigned reps, unsigned pairs) {
-  const std::size_t words = geometry.page_bytes / 8;
-  const std::size_t wpl = dcw_words_per_line(geometry);
-  XorShift64Star rng(seed);
-  std::vector<std::uint64_t> old_words(words * pairs);
-  std::vector<std::uint64_t> new_words(words * pairs);
-  for (std::size_t i = 0; i < old_words.size(); ++i) {
-    old_words[i] = rng.next();
-    // ~1 in 8 words differ: a write that touches a fraction of its lines,
-    // the case DCW exists for.
-    new_words[i] = (rng.next() & 7) == 0 ? rng.next() : old_words[i];
-  }
-  double best = 0.0;
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    std::uint64_t acc = 0;
-    const auto t0 = Clock::now();
-    for (unsigned p = 0; p < pairs; ++p) {
-      const DcwResult r =
-          compare(std::span<const std::uint64_t>(old_words)
-                      .subspan(p * words, words),
-                  std::span<const std::uint64_t>(new_words)
-                      .subspan(p * words, words),
-                  wpl);
-      acc += r.changed_lines + r.flipped_bits;
-    }
-    const double elapsed = seconds_since(t0);
-    g_sink = acc;
-    if (rep == 0 || elapsed < best) best = elapsed;
-  }
-  return best * 1e9 / static_cast<double>(pairs);
-}
-
 double time_wear_update(std::uint64_t pages, std::uint64_t seed,
                         bool single_lookup, unsigned reps,
                         std::uint64_t touches) {
-  const Config config = bench_config(pages, seed, true);
+  const Config config = bench_config(pages, seed);
   const EnduranceMap map(pages, config.endurance, config.seed);
   std::vector<PhysicalPageAddr> pas;
   pas.reserve(touches);
@@ -285,14 +196,11 @@ int bench_main(const CliArgs& args) {
   const std::string schemes_flag =
       args.get_or("schemes", "StartGap,SR,RBSG,TWL");
   // Restrict the end-to-end grid for A/B digest comparisons in CI:
-  // --hotpath-cache / --batch pin one axis instead of sweeping both
-  // (stage benches are skipped; only the grid rows are emitted).
-  const int pin_cache = args.has("hotpath-cache")
-                            ? (args.get_bool_or("hotpath-cache", true) ? 1 : 0)
-                            : -1;
+  // --batch runs one side instead of both (the stage bench is skipped;
+  // only the grid rows are emitted).
   const int pin_batch =
       args.has("batch") ? (args.get_bool_or("batch", true) ? 1 : 0) : -1;
-  const bool pinned = pin_cache >= 0 || pin_batch >= 0;
+  const bool pinned = pin_batch >= 0;
   ReportBuilder rep = bench::make_reporter("bench_hotpath", args);
   args.reject_unconsumed();
 
@@ -305,38 +213,27 @@ int bench_main(const CliArgs& args) {
     at = end + 1;
   }
 
-  rep.begin_report(
-      "Hot-path speed program: translate -> DCW -> wear update");
+  rep.begin_report("Hot-path speed program: single vs batch submit");
   rep.config_entry("pages", pages);
   rep.config_entry("writes", writes);
   rep.config_entry("seed", seed);
   rep.config_entry("reps", static_cast<std::uint64_t>(reps));
   rep.config_entry("schemes", schemes_flag);
-  if (pin_cache >= 0) rep.config_entry("pin_cache", pin_cache != 0);
   if (pin_batch >= 0) rep.config_entry("pin_batch", pin_batch != 0);
 
-  const PcmGeometry geometry = bench_config(pages, seed, true).geometry;
-
-  // before = cache off + per-write submit; after = cache on + batch.
+  // before = per-write submit; after = batch.
   TextTable stages;
   stages.add_row({"stage", "scheme", "before ns/op", "after ns/op",
                   "speedup"});
   if (!pinned) {
-    stage_row(stages, "dcw_page_compare", "-",
-              time_dcw(dcw_compare_reference, geometry, seed, reps, 256),
-              time_dcw(
-                  [](auto o, auto n, std::size_t wpl) {
-                    return dcw_compare(o, n, wpl);
-                  },
-                  geometry, seed, reps, 256));
     stage_row(stages, "wear_update", "-",
               time_wear_update(pages, seed, false, reps, writes),
               time_wear_update(pages, seed, true, reps, writes));
   }
 
   TextTable grid_table;
-  grid_table.add_row({"scheme", "cache", "batch", "ns/write",
-                      "journal bytes", "digest"});
+  grid_table.add_row({"scheme", "batch", "ns/write", "journal bytes",
+                      "digest"});
   bool digests_ok = true;
   bool bar_met = true;
   for (const std::string& spec : schemes) {
@@ -344,45 +241,34 @@ int bench_main(const CliArgs& args) {
     // physical device (Start-Gap spends one frame on the gap, RBSG one
     // per region).
     const std::uint64_t space = [&] {
-      const Config config = bench_config(pages, seed, false);
+      const Config config = bench_config(pages, seed);
       const EnduranceMap map(pages, config.endurance, config.seed);
       return make_wear_leveler_spec(spec, map, config)->logical_pages();
     }();
     const std::vector<LogicalPageAddr> las = make_stream(space, writes, seed);
 
-    if (!pinned) {
-      stage_row(stages, "translate", spec,
-                time_translate(spec, las, pages, seed, false, reps, 4),
-                time_translate(spec, las, pages, seed, true, reps, 4));
-    }
-
-    // End-to-end grid: {cache off/on} x {single/batch}.
-    EndToEndResult grid[2][2];
+    // End-to-end grid: single vs batch.
+    EndToEndResult grid[2];
     std::uint32_t reference_digest = 0;
     bool have_reference = false;
-    for (int cache = 0; cache < 2; ++cache) {
-      if (pin_cache >= 0 && cache != pin_cache) continue;
-      for (int batch = 0; batch < 2; ++batch) {
-        if (pin_batch >= 0 && batch != pin_batch) continue;
-        grid[cache][batch] = run_end_to_end(spec, las, pages, seed,
-                                            cache != 0, batch != 0, reps);
-        const EndToEndResult& r = grid[cache][batch];
-        if (!have_reference) {
-          reference_digest = r.digest;
-          have_reference = true;
-        }
-        digests_ok = digests_ok && r.digest == reference_digest;
-        grid_table.add_row({spec, cache != 0 ? "on" : "off",
-                            batch != 0 ? "on" : "off",
-                            fmt_double(r.ns_per_write, 2),
-                            std::to_string(r.journal_bytes),
-                            hex_digest(r.digest)});
+    for (int batch = 0; batch < 2; ++batch) {
+      if (pin_batch >= 0 && batch != pin_batch) continue;
+      grid[batch] = run_end_to_end(spec, las, pages, seed, batch != 0, reps);
+      const EndToEndResult& r = grid[batch];
+      if (!have_reference) {
+        reference_digest = r.digest;
+        have_reference = true;
       }
+      digests_ok = digests_ok && r.digest == reference_digest;
+      grid_table.add_row({spec, batch != 0 ? "on" : "off",
+                          fmt_double(r.ns_per_write, 2),
+                          std::to_string(r.journal_bytes),
+                          hex_digest(r.digest)});
     }
 
     if (!pinned) {
-      const EndToEndResult& before = grid[0][0];
-      const EndToEndResult& after = grid[1][1];
+      const EndToEndResult& before = grid[0];
+      const EndToEndResult& after = grid[1];
       stage_row(stages, "end_to_end_write", spec, before.ns_per_write,
                 after.ns_per_write);
       if ((spec == "StartGap" || spec == "SR") &&
@@ -422,8 +308,7 @@ int main(int argc, const char** argv) {
       "  --seed N               RNG seed (default 20170618)\n"
       "  --reps N               timing repetitions, best-of (default 5)\n"
       "  --schemes A,B,...      scheme specs (default StartGap,SR,RBSG,TWL)\n"
-      "  --hotpath-cache B      pin the translation-cache axis (A/B mode)\n"
-      "  --batch B              pin the batch-submit axis (A/B mode)\n"
+      "  --batch B              run one side of the batch axis (A/B mode)\n"
       + std::string(twl::kDeviceUsage)
       + std::string(twl::bench::kReportUsage),
       twl::bench_main);

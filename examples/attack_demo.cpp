@@ -31,7 +31,7 @@ constexpr const char kUsage[] =
 int run_impl(const twl::CliArgs& args) {
   using namespace twl;
   SimScale scale;
-  scale.pages = static_cast<std::uint64_t>(args.get_int_or("pages", 1024));
+  scale.pages = args.get_uint_or("pages", 1024);
   scale.endurance_mean = args.get_double_or("endurance", 32768);
   scale.seed = args.get_uint_or("seed", scale.seed);
   Config config = Config::scaled(scale);

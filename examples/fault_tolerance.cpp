@@ -3,6 +3,8 @@
 // then with ECP correction alone, then with ECP plus spare-pool
 // retirement. Shows how each layer extends serviceable lifetime and what
 // the capacity-loss curve looks like as the device degrades.
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "analysis/report.h"
@@ -38,11 +40,18 @@ constexpr const char kUsage[] =
 int run_impl(const twl::CliArgs& args) {
   using namespace twl;
   SimScale scale;
-  scale.pages = static_cast<std::uint64_t>(args.get_int_or("pages", 1024));
+  scale.pages = args.get_uint_or("pages", 1024);
   scale.endurance_mean = args.get_double_or("endurance", 8192);
-  scale.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
+  scale.seed = args.get_uint_or("seed", 1);
   const Scheme scheme = parse_scheme(args.get_or("scheme", "TWL"));
-  const auto ecp_k = static_cast<std::uint32_t>(args.get_int_or("ecp-k", 6));
+  const std::uint64_t ecp_k_flag = args.get_uint_or("ecp-k", 6);
+  if (ecp_k_flag > std::numeric_limits<std::uint32_t>::max()) {
+    throw CliError("invalid value for --ecp-k: '" +
+                   std::to_string(ecp_k_flag) + "' (expected at most " +
+                   std::to_string(std::numeric_limits<std::uint32_t>::max()) +
+                   ")");
+  }
+  const auto ecp_k = static_cast<std::uint32_t>(ecp_k_flag);
   const double spare_frac = args.get_double_or("spare-frac", 0.12);
   ReportBuilder rep("fault_tolerance",
                     parse_report_format(args.get_or("format", "text")),

@@ -32,7 +32,7 @@ constexpr const char kUsage[] =
 int run_impl(const twl::CliArgs& args) {
   using namespace twl;
   SimScale scale;
-  scale.pages = static_cast<std::uint64_t>(args.get_int_or("pages", 1024));
+  scale.pages = args.get_uint_or("pages", 1024);
   scale.endurance_mean = args.get_double_or("endurance", 65536);
   scale.seed = args.get_uint_or("seed", scale.seed);
   const double floor_years = args.get_double_or("floor-years", 3.0);

@@ -36,9 +36,9 @@ int run_impl(const twl::CliArgs& args) {
   // 1. Describe the (scaled) device. Config::scaled keeps every Table 1
   //    parameter of the paper except size and endurance.
   SimScale scale;
-  scale.pages = static_cast<std::uint64_t>(args.get_int_or("pages", 1024));
+  scale.pages = args.get_uint_or("pages", 1024);
   scale.endurance_mean = args.get_double_or("endurance", 8192);
-  scale.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
+  scale.seed = args.get_uint_or("seed", 1);
   Config config = Config::scaled(scale);
   apply_device_flag(args, config);
 

@@ -18,7 +18,7 @@ namespace {
 constexpr const char kUsage[] =
     "usage: trace_replay [flags]\n"
     "  Replaying an address trace file.\n"
-    "  --pages N       scaled device size in pages (default 1024)\n"
+    "  --pages N       scaled device size in pages (default 512)\n"
     "  --endurance E   mean per-page endurance\n"
     "  --trace PATH    trace file to replay (plain-text addresses)\n"
     "  --seed S        RNG seed\n"
@@ -34,7 +34,7 @@ constexpr const char kUsage[] =
 int run_impl(const twl::CliArgs& args) {
   using namespace twl;
   SimScale scale;
-  scale.pages = static_cast<std::uint64_t>(args.get_int_or("pages", 512));
+  scale.pages = args.get_uint_or("pages", 512);
   scale.endurance_mean = args.get_double_or("endurance", 4096);
   scale.seed = args.get_uint_or("seed", scale.seed);
   const std::string path = args.get_or("trace", "/tmp/twl_demo.trc");

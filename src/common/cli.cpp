@@ -64,24 +64,6 @@ std::string CliArgs::get_or(const std::string& name,
   return get(name).value_or(def);
 }
 
-std::int64_t CliArgs::get_int_or(const std::string& name,
-                                 std::int64_t def) const {
-  const auto v = get(name);
-  if (!v) return def;
-  // strtoll via endptr so trailing garbage ("12abc") is rejected, unlike
-  // std::stoll which silently accepts it.
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  if (has_leading_space(*v) || end == v->c_str() || *end != '\0') {
-    bad_value(name, *v, "an integer");
-  }
-  if (errno == ERANGE) {
-    bad_value(name, *v, "an integer in range");
-  }
-  return parsed;
-}
-
 std::uint64_t CliArgs::get_uint_or(const std::string& name,
                                    std::uint64_t def) const {
   const auto v = get(name);

@@ -35,8 +35,6 @@ class CliArgs {
                                    const std::string& def) const;
   /// Numeric getters throw CliError (naming the flag and the offending
   /// value) when the value is not fully parseable or out of range.
-  [[nodiscard]] std::int64_t get_int_or(const std::string& name,
-                                        std::int64_t def) const;
   /// For count-like flags (--pages, --seed, --jobs, ...): rejects
   /// negative values at parse time, naming the flag. Without this,
   /// --pages=-1 would cast to a huge uint64 and either OOM or sail past

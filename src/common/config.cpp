@@ -1,7 +1,6 @@
 #include "common/config.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -103,18 +102,10 @@ void Config::validate() const {
            "(ecp_k and spare_pages must be 0 for non-PCM backends)");
   }
 
-  require(!hotpath.translation_cache || hotpath.cache_entries > 0,
-          "hotpath.cache_entries", "must be > 0 when the cache is enabled");
-
   require(real.attack_write_gbps > 0.0, "real.attack_write_gbps",
           "must be > 0");
   require(real.ideal_lifetime_years > 0.0, "real.ideal_lifetime_years",
           "must be > 0");
-}
-
-std::uint32_t HotpathParams::cache_entries_pow2() const {
-  return static_cast<std::uint32_t>(
-      std::bit_ceil(std::max<std::uint32_t>(cache_entries, 1)));
 }
 
 PcmGeometry PcmGeometry::scaled_to_pages(std::uint64_t n) const {

@@ -251,23 +251,6 @@ struct DeviceParams {
   HybridParams hybrid{};
 };
 
-/// Controller hot-path (translate -> DCW -> wear update) tuning knobs.
-/// These are pure performance options: with the cache on or off, batch
-/// submission or per-write submission, the physical write stream is
-/// bit-identical (tests/wl/translation_cache_property_test.cpp and the CI
-/// hotpath job enforce this).
-struct HotpathParams {
-  /// Memoize map_read() in a direct-mapped TLB-style cache inside the
-  /// schemes that can afford exact invalidation (Start-Gap, Security
-  /// Refresh). Purely an engine-speed knob; hit/miss counts are exported
-  /// as scheme stats.
-  bool translation_cache = true;
-  /// Entries in the translation cache (rounded up to a power of two).
-  std::uint32_t cache_entries = 1024;
-
-  [[nodiscard]] std::uint32_t cache_entries_pow2() const;
-};
-
 /// The real (paper-scale) system used for extrapolating scaled results.
 struct RealSystem {
   PcmGeometry geometry{};      // 32 GB.
@@ -302,7 +285,6 @@ struct Config {
   RbsgParams rbsg{};
   FaultParams fault{};
   DeviceParams device{};
-  HotpathParams hotpath{};
   RealSystem real{};
   std::uint64_t seed = 20170618;
 

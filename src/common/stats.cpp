@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -48,72 +47,6 @@ double geomean(std::span<const double> values) {
     log_sum += std::log(v);
   }
   return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  // Casting a NaN (or any value outside the target type's range, e.g.
-  // +/-inf or a huge frac*bins product) to an integer is undefined
-  // behaviour, so classify in floating point and only cast values already
-  // known to land inside [0, bins).
-  if (std::isnan(x)) {
-    throw std::invalid_argument("Histogram::add: value is NaN");
-  }
-  std::size_t idx;
-  if (x <= lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = bins() - 1;
-  } else {
-    const double frac = (x - lo_) / (hi_ - lo_);
-    idx = std::min(
-        static_cast<std::size_t>(frac * static_cast<double>(bins())),
-        bins() - 1);
-    // frac*bins and the reported edges (bin_lo/bin_hi) are different
-    // float expressions that can disagree by an ulp for values exactly
-    // on a boundary, putting the sample in a bin whose reported range
-    // excludes it (and which bin wins then depends on the platform's
-    // rounding/FMA contraction). Settle classification against the same
-    // edge expression the reports use: bin i owns [bin_lo(i), bin_hi(i)).
-    while (idx > 0 && x < bin_lo(idx)) --idx;
-    while (idx + 1 < bins() && x >= bin_hi(idx)) ++idx;
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-std::uint64_t Histogram::bin_count(std::size_t i) const {
-  assert(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(bins());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-double Histogram::quantile(double q) const {
-  assert(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double in_bin =
-          counts_[i] == 0 ? 0.0
-                          : (target - cum) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + in_bin * (bin_hi(i) - bin_lo(i));
-    }
-    cum = next;
-  }
-  return hi_;
 }
 
 double coefficient_of_variation(std::span<const double> values) {

@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <vector>
 
 namespace twl {
 
@@ -37,33 +35,6 @@ class RunningStats {
 /// benches use max(value, epsilon)) so the choice is visible at the
 /// call site instead of silently returning garbage.
 [[nodiscard]] double geomean(std::span<const double> values);
-
-/// Fixed-bin histogram over [lo, hi); out-of-range values (including
-/// +/-inf) clamp to the edge bins. Used for wear distribution reports.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  /// Throws std::invalid_argument on NaN (there is no bin a NaN
-  /// meaningfully belongs to, and casting it would be UB).
-  void add(double x);
-
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const;
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Value below which `q` (in [0,1]) of the mass lies, interpolated
-  /// within the containing bin.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Coefficient of variation (stddev / mean) of a set of values; the
 /// standard single-number summary of how even a wear distribution is.

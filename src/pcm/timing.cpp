@@ -16,8 +16,8 @@ PcmTiming::PcmTiming(const PcmGeometry& geometry,
       std::ceil(lines * kDcwFraction / kWriteParallelism));
   const auto read_batches =
       static_cast<Cycles>(std::ceil(lines / kReadParallelism));
-  line_write_cycles_ = params.line_write_latency();
-  page_write_cycles_ = std::max<Cycles>(1, write_batches) * line_write_cycles_;
+  page_write_cycles_ =
+      std::max<Cycles>(1, write_batches) * params.line_write_latency();
   page_read_cycles_ = std::max<Cycles>(1, read_batches) * params.read_latency;
 }
 

@@ -9,7 +9,6 @@
 // time channel and the Figure 9 execution-time experiment observe.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,19 +37,6 @@ class PcmTiming {
 
   /// Service cycles of one page read.
   [[nodiscard]] Cycles page_read_cycles() const { return page_read_cycles_; }
-
-  /// Service cycles of a page write whose DCW comparison found
-  /// `changed_lines` dirty lines (see pcm/dcw.h): the dirty lines burn in
-  /// batches of kWriteParallelism. A fully clean page still costs one
-  /// batch — the drivers verify against the sensed data before deciding
-  /// nothing needs programming. `page_write_cycles()` is exactly this
-  /// function evaluated at the kDcwFraction calibration point.
-  [[nodiscard]] Cycles data_write_cycles(std::uint32_t changed_lines) const {
-    const Cycles batches =
-        (static_cast<Cycles>(changed_lines) + kWriteParallelism - 1) /
-        kWriteParallelism;
-    return std::max<Cycles>(1, batches) * line_write_cycles_;
-  }
 
   /// Queue a request on its bank at time `now`; returns when it starts and
   /// completes. Banks serve in FIFO order.
@@ -88,7 +74,6 @@ class PcmTiming {
   std::uint32_t banks_;
   Cycles page_write_cycles_;
   Cycles page_read_cycles_;
-  Cycles line_write_cycles_;
   std::vector<Cycles> bank_busy_until_;
   std::vector<Cycles> bank_busy_cycles_;
 };

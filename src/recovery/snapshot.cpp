@@ -52,16 +52,6 @@ void SnapshotWriter::put_u64_vec(const std::vector<std::uint64_t>& v) {
   for (std::uint64_t x : v) put_u64(x);
 }
 
-void SnapshotWriter::put_u8_span(const std::uint8_t* data, std::size_t n) {
-  put_u64(n);
-  bytes_.insert(bytes_.end(), data, data + n);
-}
-
-void SnapshotWriter::put_u32_span(const std::uint32_t* data, std::size_t n) {
-  put_u64(n);
-  for (std::size_t i = 0; i < n; ++i) put_u32(data[i]);
-}
-
 void SnapshotReader::need(std::size_t n) {
   if (size_ - pos_ < n) {
     throw SnapshotError("snapshot truncated: need " + std::to_string(n) +

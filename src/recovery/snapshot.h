@@ -56,12 +56,6 @@ class SnapshotWriter {
   void put_u32_vec(const std::vector<std::uint32_t>& v);
   void put_u64_vec(const std::vector<std::uint64_t>& v);
 
-  /// Raw-span variants with the same wire format as the *_vec writers
-  /// (u64 count + little-endian elements) — used by arena-backed tables
-  /// whose storage is not a std::vector.
-  void put_u8_span(const std::uint8_t* data, std::size_t n);
-  void put_u32_span(const std::uint32_t* data, std::size_t n);
-
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
     return bytes_;
   }

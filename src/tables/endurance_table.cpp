@@ -2,24 +2,25 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "recovery/snapshot.h"
 
 namespace twl {
 
 EnduranceTable::EnduranceTable(const EnduranceMap& map,
-                               std::uint32_t entry_bits, std::uint64_t scale,
-                               TableArena* arena)
-    : entries_(map.pages(), 0, arena), entry_bits_(entry_bits), scale_(scale) {
+                               std::uint32_t entry_bits, std::uint64_t scale)
+    : entry_bits_(entry_bits), scale_(scale) {
   assert(entry_bits > 0 && entry_bits <= 32);
   assert(scale > 0);
   const std::uint64_t max_entry = (entry_bits >= 32)
                                       ? 0xFFFF'FFFFULL
                                       : ((1ULL << entry_bits) - 1);
+  entries_.reserve(map.pages());
   for (std::uint32_t i = 0; i < map.pages(); ++i) {
     const std::uint64_t e = map.endurance(PhysicalPageAddr(i)) / scale;
-    entries_[i] =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(e, max_entry));
+    entries_.push_back(
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(e, max_entry)));
   }
 }
 
@@ -34,17 +35,17 @@ void EnduranceTable::set_endurance(PhysicalPageAddr pa,
 }
 
 void EnduranceTable::save_state(SnapshotWriter& w) const {
-  w.put_u32_span(entries_.data(), entries_.size());
+  w.put_u32_vec(entries_);
 }
 
 void EnduranceTable::load_state(SnapshotReader& r) {
-  const std::vector<std::uint32_t> entries = r.get_u32_vec();
+  std::vector<std::uint32_t> entries = r.get_u32_vec();
   if (entries.size() != entries_.size()) {
     throw SnapshotError("endurance table size mismatch: snapshot has " +
                         std::to_string(entries.size()) + " pages, table has " +
                         std::to_string(entries_.size()));
   }
-  std::copy(entries.begin(), entries.end(), entries_.begin());
+  entries_ = std::move(entries);
 }
 
 }  // namespace twl

@@ -12,7 +12,6 @@
 
 #include "common/types.h"
 #include "pcm/endurance.h"
-#include "tables/arena.h"
 
 namespace twl {
 
@@ -25,7 +24,7 @@ class EnduranceTable {
   /// (2^entry_bits - 1) after scaling by `scale` (writes per LSB); the
   /// default scale of 16 covers 1e8-endurance parts within 27 bits.
   EnduranceTable(const EnduranceMap& map, std::uint32_t entry_bits,
-                 std::uint64_t scale = 16, TableArena* arena = nullptr);
+                 std::uint64_t scale = 16);
 
   /// Endurance as the controller believes it (quantized, rescaled).
   [[nodiscard]] std::uint64_t endurance(PhysicalPageAddr pa) const {
@@ -49,13 +48,8 @@ class EnduranceTable {
   void save_state(SnapshotWriter& w) const;
   void load_state(SnapshotReader& r);
 
-  /// Worst-case arena bytes this table allocates for `pages` pages.
-  [[nodiscard]] static constexpr std::size_t arena_bytes(std::uint64_t pages) {
-    return TableArena::required<std::uint32_t>(pages);
-  }
-
  private:
-  FlatArray<std::uint32_t> entries_;
+  std::vector<std::uint32_t> entries_;
   std::uint32_t entry_bits_;
   std::uint64_t scale_;
 };

@@ -1,17 +1,17 @@
 #include "tables/pair_table.h"
 
-#include <algorithm>
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.h"
 
 namespace twl {
 
 PairTable::PairTable(const EnduranceMap& map, PairingPolicy policy,
-                     std::uint64_t seed, TableArena* arena)
-    : partner_(map.pages(), kInvalidPage, arena), policy_(policy) {
+                     std::uint64_t seed)
+    : partner_(map.pages(), kInvalidPage), policy_(policy) {
   const std::uint64_t n = map.pages();
   // Thrown (not asserted) so release builds fail loudly instead of
   // writing out of bounds — an odd pool is easy to hit via spare-pool
@@ -58,8 +58,7 @@ PairTable::PairTable(const EnduranceMap& map, PairingPolicy policy,
 }
 
 PairTable::PairTable(std::vector<std::uint32_t> partner)
-    : partner_(partner.size(), kInvalidPage) {
-  std::copy(partner.begin(), partner.end(), partner_.begin());
+    : partner_(std::move(partner)) {
   assert(is_perfect_matching());
 }
 

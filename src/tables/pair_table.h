@@ -25,7 +25,6 @@
 #include "common/config.h"
 #include "common/types.h"
 #include "pcm/endurance.h"
-#include "tables/arena.h"
 
 namespace twl {
 
@@ -34,7 +33,7 @@ class PairTable {
   /// Builds the matching over `map.pages()` pages (must be even) according
   /// to `policy`.
   PairTable(const EnduranceMap& map, PairingPolicy policy,
-            std::uint64_t seed = 0, TableArena* arena = nullptr);
+            std::uint64_t seed = 0);
 
   /// Explicit matching (tests). partner[partner[x]] == x must hold.
   explicit PairTable(std::vector<std::uint32_t> partner);
@@ -50,13 +49,8 @@ class PairTable {
   /// page is its own partner.
   [[nodiscard]] bool is_perfect_matching() const;
 
-  /// Worst-case arena bytes this table allocates for `pages` pages.
-  [[nodiscard]] static constexpr std::size_t arena_bytes(std::uint64_t pages) {
-    return TableArena::required<std::uint32_t>(pages);
-  }
-
  private:
-  FlatArray<std::uint32_t> partner_;
+  std::vector<std::uint32_t> partner_;
   PairingPolicy policy_ = PairingPolicy::kAdjacent;
 };
 

@@ -7,13 +7,13 @@
 
 namespace twl {
 
-RemappingTable::RemappingTable(std::uint64_t pages, TableArena* arena)
-    : la_to_pa_(pages, PhysicalPageAddr(0), arena),
-      pa_to_la_(pages, LogicalPageAddr(0), arena) {
+RemappingTable::RemappingTable(std::uint64_t pages) {
   assert(pages > 0);
+  la_to_pa_.reserve(pages);
+  pa_to_la_.reserve(pages);
   for (std::uint32_t i = 0; i < pages; ++i) {
-    la_to_pa_[i] = PhysicalPageAddr(i);
-    pa_to_la_[i] = LogicalPageAddr(i);
+    la_to_pa_.emplace_back(i);
+    pa_to_la_.emplace_back(i);
   }
 }
 

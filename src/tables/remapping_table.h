@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "tables/arena.h"
 
 namespace twl {
 
@@ -22,9 +21,8 @@ class SnapshotWriter;
 
 class RemappingTable {
  public:
-  /// Identity mapping over `pages` pages. With an arena, both direction
-  /// maps live in the caller's packed metadata block.
-  explicit RemappingTable(std::uint64_t pages, TableArena* arena = nullptr);
+  /// Identity mapping over `pages` pages.
+  explicit RemappingTable(std::uint64_t pages);
 
   [[nodiscard]] PhysicalPageAddr to_physical(LogicalPageAddr la) const {
     return la_to_pa_[la.value()];
@@ -51,15 +49,9 @@ class RemappingTable {
   void save_state(SnapshotWriter& w) const;
   void load_state(SnapshotReader& r);
 
-  /// Worst-case arena bytes this table allocates for `pages` pages.
-  [[nodiscard]] static constexpr std::size_t arena_bytes(std::uint64_t pages) {
-    return TableArena::required<PhysicalPageAddr>(pages) +
-           TableArena::required<LogicalPageAddr>(pages);
-  }
-
  private:
-  FlatArray<PhysicalPageAddr> la_to_pa_;
-  FlatArray<LogicalPageAddr> pa_to_la_;
+  std::vector<PhysicalPageAddr> la_to_pa_;
+  std::vector<LogicalPageAddr> pa_to_la_;
 };
 
 }  // namespace twl

@@ -1,6 +1,5 @@
 #include "tables/write_counter_table.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -9,9 +8,8 @@
 namespace twl {
 
 WriteCounterTable::WriteCounterTable(std::uint64_t pages,
-                                     std::uint32_t counter_bits,
-                                     TableArena* arena)
-    : counters_(pages, 0, arena),
+                                     std::uint32_t counter_bits)
+    : counters_(pages, 0),
       bits_(counter_bits),
       max_((1u << counter_bits) - 1) {
   assert(counter_bits > 0 && counter_bits <= 8 &&
@@ -25,18 +23,18 @@ std::uint32_t WriteCounterTable::increment(LogicalPageAddr la) {
 }
 
 void WriteCounterTable::save_state(SnapshotWriter& w) const {
-  w.put_u8_span(counters_.data(), counters_.size());
+  w.put_u8_vec(counters_);
 }
 
 void WriteCounterTable::load_state(SnapshotReader& r) {
-  const std::vector<std::uint8_t> counters = r.get_u8_vec();
+  std::vector<std::uint8_t> counters = r.get_u8_vec();
   if (counters.size() != counters_.size()) {
     throw SnapshotError("write counter table size mismatch: snapshot has " +
                         std::to_string(counters.size()) +
                         " pages, table has " +
                         std::to_string(counters_.size()));
   }
-  std::copy(counters.begin(), counters.end(), counters_.begin());
+  counters_ = std::move(counters);
 }
 
 }  // namespace twl

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "tables/arena.h"
 
 namespace twl {
 
@@ -19,8 +18,7 @@ class SnapshotWriter;
 
 class WriteCounterTable {
  public:
-  WriteCounterTable(std::uint64_t pages, std::uint32_t counter_bits = 7,
-                    TableArena* arena = nullptr);
+  WriteCounterTable(std::uint64_t pages, std::uint32_t counter_bits = 7);
 
   /// Increment the page's counter; returns the post-increment value.
   /// Saturates at the counter's maximum (2^bits - 1).
@@ -39,13 +37,8 @@ class WriteCounterTable {
   void save_state(SnapshotWriter& w) const;
   void load_state(SnapshotReader& r);
 
-  /// Worst-case arena bytes this table allocates for `pages` pages.
-  [[nodiscard]] static constexpr std::size_t arena_bytes(std::uint64_t pages) {
-    return TableArena::required<std::uint8_t>(pages);
-  }
-
  private:
-  FlatArray<std::uint8_t> counters_;
+  std::vector<std::uint8_t> counters_;
   std::uint32_t bits_;
   std::uint32_t max_;
 };

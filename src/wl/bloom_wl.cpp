@@ -10,10 +10,8 @@ namespace twl {
 
 BloomWl::BloomWl(const EnduranceMap& endurance, const BwlParams& params,
                  std::uint32_t et_entry_bits, std::uint64_t seed)
-    : arena_(RemappingTable::arena_bytes(endurance.pages()) +
-             EnduranceTable::arena_bytes(endurance.pages())),
-      rt_(endurance.pages(), &arena_),
-      et_(endurance, et_entry_bits, 16, &arena_),
+    : rt_(endurance.pages()),
+      et_(endurance, et_entry_bits),
       hot_filter_(params.filter_bits, params.num_hashes, seed ^ 0x1407ULL),
       swapped_filter_(params.filter_bits, params.num_hashes,
                       seed ^ 0x2C01DULL),

@@ -82,9 +82,6 @@ class BloomWl final : public WearLeveler {
 
   [[nodiscard]] std::int64_t headroom(PhysicalPageAddr pa) const;
 
-  /// Packed backing store for rt_ and et_; declared first so it is
-  /// constructed before (and outlives) the tables it backs.
-  TableArena arena_;
   RemappingTable rt_;
   EnduranceTable et_;
   CountingBloomFilter hot_filter_;

@@ -106,14 +106,13 @@ std::unique_ptr<WearLeveler> make_wear_leveler(Scheme scheme,
     case Scheme::kNoWl:
       return std::make_unique<NoWl>(endurance.pages());
     case Scheme::kStartGap:
-      return std::make_unique<StartGap>(endurance.pages(), config.start_gap,
-                                        config.hotpath);
+      return std::make_unique<StartGap>(endurance.pages(), config.start_gap);
     case Scheme::kRbsg:
       return std::make_unique<RbsgWl>(endurance.pages(), config.rbsg,
                                       config.seed);
     case Scheme::kSecurityRefresh:
       return std::make_unique<SecurityRefresh>(endurance.pages(), config.sr,
-                                               config.seed, config.hotpath);
+                                               config.seed);
     case Scheme::kWearRateLeveling:
       return std::make_unique<WearRateLeveling>(
           endurance, config.wrl, config.endurance.table_bits);

@@ -141,15 +141,6 @@ SecurityRefresh::SecurityRefresh(std::uint64_t pages, const SrParams& params,
   }
 }
 
-SecurityRefresh::SecurityRefresh(std::uint64_t pages, const SrParams& params,
-                                 std::uint64_t seed,
-                                 const HotpathParams& hotpath)
-    : SecurityRefresh(pages, params, seed) {
-  if (hotpath.translation_cache) {
-    tcache_ = TranslationCache(hotpath.cache_entries_pow2());
-  }
-}
-
 PhysicalPageAddr SecurityRefresh::phys_of_intermediate(
     std::uint32_t x) const {
   const std::uint32_t region = x / region_size_;
@@ -160,13 +151,9 @@ PhysicalPageAddr SecurityRefresh::phys_of_intermediate(
 
 PhysicalPageAddr SecurityRefresh::map_read(LogicalPageAddr la) const {
   assert(la.value() < pages_);
-  PhysicalPageAddr cached(0);
-  if (tcache_.lookup(la, cached)) return cached;
   const std::uint32_t x =
       outer_.empty() ? la.value() : outer_[0].remap(la.value());
-  const PhysicalPageAddr pa = phys_of_intermediate(x);
-  tcache_.insert(la, pa);
-  return pa;
+  return phys_of_intermediate(x);
 }
 
 void SecurityRefresh::inner_refresh(std::uint32_t region, WriteSink& sink) {
@@ -177,21 +164,6 @@ void SecurityRefresh::inner_refresh(std::uint32_t region, WriteSink& sink) {
                     PhysicalPageAddr(base + step.pa_to),
                     WritePurpose::kRefreshSwap);
     ++refresh_swaps_;
-    // Only a non-noop step changes the mapping (a noop step just advances
-    // the pointer past an already-consistent pair, and a re-key at wrap
-    // re-labels the fully-refreshed mapping without moving anything).
-    if (outer_.empty()) {
-      // Single level: the intermediate address IS the logical address, so
-      // the affected pair is known exactly: the refresh pointer and its
-      // partner under the current key pair.
-      const std::uint32_t rp = inner_[region].refresh_pointer();
-      const std::uint32_t partner = rp ^ step.pa_from ^ step.pa_to;
-      const std::uint32_t la_base = region * region_size_;
-      tcache_.invalidate(LogicalPageAddr(la_base + rp));
-      tcache_.invalidate(LogicalPageAddr(la_base + partner));
-    } else {
-      tcache_.invalidate_all();
-    }
   }
   inner_[region].commit_refresh(rng_);
 }
@@ -205,7 +177,6 @@ void SecurityRefresh::outer_refresh(WriteSink& sink) {
                     phys_of_intermediate(step.pa_to),
                     WritePurpose::kRefreshSwap);
     ++outer_swaps_;
-    tcache_.invalidate_all();
   }
   outer_[0].commit_refresh(rng_);
 }
@@ -274,7 +245,6 @@ void SecurityRefresh::load_state(SnapshotReader& r) {
       outer_.empty() ? 0 : outer_writes_ % outer_interval_;
   refresh_swaps_ = r.get_u64();
   outer_swaps_ = r.get_u64();
-  tcache_.invalidate_all();
 }
 
 void SecurityRefresh::append_stats(
@@ -285,10 +255,6 @@ void SecurityRefresh::append_stats(
   out.emplace_back("region_size", static_cast<double>(region_size_));
   out.emplace_back("inner_interval", static_cast<double>(inner_interval_));
   out.emplace_back("outer_interval", static_cast<double>(outer_interval_));
-  if (tcache_.enabled()) {
-    out.emplace_back("tcache_hits", static_cast<double>(tcache_.hits()));
-    out.emplace_back("tcache_misses", static_cast<double>(tcache_.misses()));
-  }
 }
 
 }  // namespace twl

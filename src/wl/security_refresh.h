@@ -23,7 +23,6 @@
 
 #include "common/config.h"
 #include "common/rng.h"
-#include "wl/translation_cache.h"
 #include "wl/wear_leveler.h"
 
 namespace twl {
@@ -72,14 +71,6 @@ class SecurityRefresh final : public WearLeveler {
  public:
   SecurityRefresh(std::uint64_t pages, const SrParams& params,
                   std::uint64_t seed);
-
-  /// Same scheme with the hot-path translation cache wired in. A refresh
-  /// swap remaps exactly one address pair; single-level instances
-  /// invalidate just those two logical pages, two-level instances flush
-  /// (the outer layer makes the logical pre-image of a swap non-trivial
-  /// to compute, and refreshes are rare enough that a flush is cheap).
-  SecurityRefresh(std::uint64_t pages, const SrParams& params,
-                  std::uint64_t seed, const HotpathParams& hotpath);
 
   [[nodiscard]] std::string name() const override { return "SR"; }
   [[nodiscard]] std::uint64_t logical_pages() const override {
@@ -131,9 +122,6 @@ class SecurityRefresh final : public WearLeveler {
   std::uint64_t outer_interval_ = 0;
   std::uint64_t refresh_swaps_ = 0;
   std::uint64_t outer_swaps_ = 0;
-  /// map_read memoization; derived data, never serialized. Mutable so the
-  /// const read path can fill it.
-  mutable TranslationCache tcache_{0};
 };
 
 }  // namespace twl

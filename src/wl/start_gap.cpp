@@ -21,15 +21,7 @@ StartGap::StartGap(std::uint64_t frames, const StartGapParams& params)
   }
 }
 
-StartGap::StartGap(std::uint64_t frames, const StartGapParams& params,
-                   const HotpathParams& hotpath)
-    : StartGap(frames, params) {
-  if (hotpath.translation_cache) {
-    tcache_ = TranslationCache(hotpath.cache_entries_pow2());
-  }
-}
-
-PhysicalPageAddr StartGap::translate(LogicalPageAddr la) const {
+PhysicalPageAddr StartGap::map_read(LogicalPageAddr la) const {
   const std::uint64_t n = logical_pages();
   assert(la.value() < n);
   std::uint64_t pa = (la.value() + start_) % n;
@@ -37,35 +29,20 @@ PhysicalPageAddr StartGap::translate(LogicalPageAddr la) const {
   return PhysicalPageAddr(static_cast<std::uint32_t>(pa));
 }
 
-PhysicalPageAddr StartGap::map_read(LogicalPageAddr la) const {
-  PhysicalPageAddr pa(0);
-  if (tcache_.lookup(la, pa)) return pa;
-  pa = translate(la);
-  tcache_.insert(la, pa);
-  return pa;
-}
-
 void StartGap::move_gap(WriteSink& sink) {
   if (gap_ > 0) {
-    // Pull the page below the gap up into the gap frame. Exactly one
-    // logical page changes its mapping: the one whose raw slot is the
-    // frame below the gap.
+    // Pull the page below the gap up into the gap frame.
     sink.migrate(PhysicalPageAddr(static_cast<std::uint32_t>(gap_ - 1)),
                  PhysicalPageAddr(static_cast<std::uint32_t>(gap_)),
                  WritePurpose::kGapMove);
-    const std::uint64_t n = logical_pages();
-    const std::uint64_t moved_la = (gap_ - 1 + n - start_ % n) % n;
-    tcache_.invalidate(LogicalPageAddr(static_cast<std::uint32_t>(moved_la)));
     --gap_;
   } else {
     // Gap wrapped: the last frame's page moves into frame 0, the gap
-    // returns to the top, and Start advances one step. Start shifts every
-    // logical page's mapping, so the whole cache goes.
+    // returns to the top, and Start advances one step.
     sink.migrate(PhysicalPageAddr(static_cast<std::uint32_t>(frames_ - 1)),
                  PhysicalPageAddr(0), WritePurpose::kGapMove);
     gap_ = frames_ - 1;
     start_ = (start_ + 1) % logical_pages();
-    tcache_.invalidate_all();
   }
   ++gap_moves_;
 }
@@ -106,17 +83,12 @@ void StartGap::load_state(SnapshotReader& r) {
   if (gap_ >= frames_ || start_ >= logical_pages()) {
     throw SnapshotError("start-gap registers out of range");
   }
-  tcache_.invalidate_all();
 }
 
 void StartGap::append_stats(
     std::vector<std::pair<std::string, double>>& out) const {
   out.emplace_back("gap_moves", static_cast<double>(gap_moves_));
   out.emplace_back("start", static_cast<double>(start_));
-  if (tcache_.enabled()) {
-    out.emplace_back("tcache_hits", static_cast<double>(tcache_.hits()));
-    out.emplace_back("tcache_misses", static_cast<double>(tcache_.misses()));
-  }
 }
 
 }  // namespace twl

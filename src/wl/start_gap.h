@@ -12,7 +12,6 @@
 #pragma once
 
 #include "common/config.h"
-#include "wl/translation_cache.h"
 #include "wl/wear_leveler.h"
 
 namespace twl {
@@ -22,13 +21,6 @@ class StartGap final : public WearLeveler {
   /// `frames` is the number of *physical* pages available; the scheme
   /// exposes frames-1 logical pages.
   StartGap(std::uint64_t frames, const StartGapParams& params);
-
-  /// Same scheme with the hot-path translation cache wired in. A normal
-  /// gap move displaces exactly one logical page, so invalidation is
-  /// exact; only the (rare) gap wrap, which advances Start and shifts
-  /// every mapping, flushes the whole cache.
-  StartGap(std::uint64_t frames, const StartGapParams& params,
-           const HotpathParams& hotpath);
 
   [[nodiscard]] std::string name() const override { return "StartGap"; }
   [[nodiscard]] std::uint64_t logical_pages() const override {
@@ -64,7 +56,6 @@ class StartGap final : public WearLeveler {
 
  private:
   void move_gap(WriteSink& sink);
-  [[nodiscard]] PhysicalPageAddr translate(LogicalPageAddr la) const;
 
   std::uint64_t frames_;
   std::uint32_t psi_;
@@ -72,9 +63,6 @@ class StartGap final : public WearLeveler {
   std::uint64_t start_ = 0;
   std::uint32_t writes_since_move_ = 0;
   std::uint64_t gap_moves_ = 0;
-  /// map_read memoization; derived data, never serialized. Mutable so the
-  /// const read path can fill it.
-  mutable TranslationCache tcache_{0};
 };
 
 }  // namespace twl

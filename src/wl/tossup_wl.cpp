@@ -11,21 +11,16 @@ namespace twl {
 TossUpWl::TossUpWl(const EnduranceMap& endurance, const TwlParams& params,
                    const WlLatencies& latencies, std::uint32_t et_entry_bits,
                    std::uint64_t seed)
-    : arena_(RemappingTable::arena_bytes(endurance.pages()) +
-             EnduranceTable::arena_bytes(endurance.pages()) +
-             PairTable::arena_bytes(endurance.pages()) +
-             WriteCounterTable::arena_bytes(endurance.pages())),
-      rt_(endurance.pages(), &arena_),
-      et_(endurance, et_entry_bits, 16, &arena_),
-      swpt_(endurance, params.pairing, seed, &arena_),
+    : rt_(endurance.pages()),
+      et_(endurance, et_entry_bits),
+      swpt_(endurance, params.pairing, seed),
       // A 7-bit WCT covers intervals up to 127 (Section 5.4); the Figure 7
       // sweep's interval-128 point and the adaptive mode need the 8th bit.
       wct_(endurance.pages(),
            (params.tossup_interval > 127 ||
             (params.adaptive_interval && params.adaptive_interval_max > 127))
                ? 8
-               : 7,
-           &arena_),
+               : 7),
       rng_(seed ^ 0x7055'0B17ULL),
       interpair_rng_(seed ^ 0x1A7E'2137ULL),
       params_(params),

@@ -107,9 +107,6 @@ class TossUpWl final : public WearLeveler {
 
   void maybe_adapt_interval();
 
-  /// Packed backing store for the four metadata tables below; must be
-  /// declared first so it outlives (and is constructed before) them.
-  TableArena arena_;
   RemappingTable rt_;
   EnduranceTable et_;
   PairTable swpt_;
