@@ -43,7 +43,7 @@ constexpr const char kUsage[] =
 int run_impl(const twl::CliArgs& args) {
   using namespace twl;
   auto setup = bench::make_setup(args, 1024, 16384);
-  const auto ecp_k = static_cast<std::uint32_t>(args.get_uint_or("ecp-k", 6));
+  const std::uint32_t ecp_k = args.get_u32_or("ecp-k", 6);
   const double spare_frac = args.get_double_or("spare-frac", 0.12);
   const auto max_demand =
       static_cast<WriteCount>(args.get_uint_or("max-writes", 1ull << 40));

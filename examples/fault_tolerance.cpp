@@ -4,7 +4,6 @@
 // retirement. Shows how each layer extends serviceable lifetime and what
 // the capacity-loss curve looks like as the device degrades.
 #include <cstdint>
-#include <limits>
 #include <string>
 
 #include "analysis/report.h"
@@ -44,14 +43,7 @@ int run_impl(const twl::CliArgs& args) {
   scale.endurance_mean = args.get_double_or("endurance", 8192);
   scale.seed = args.get_uint_or("seed", 1);
   const Scheme scheme = parse_scheme(args.get_or("scheme", "TWL"));
-  const std::uint64_t ecp_k_flag = args.get_uint_or("ecp-k", 6);
-  if (ecp_k_flag > std::numeric_limits<std::uint32_t>::max()) {
-    throw CliError("invalid value for --ecp-k: '" +
-                   std::to_string(ecp_k_flag) + "' (expected at most " +
-                   std::to_string(std::numeric_limits<std::uint32_t>::max()) +
-                   ")");
-  }
-  const auto ecp_k = static_cast<std::uint32_t>(ecp_k_flag);
+  const std::uint32_t ecp_k = args.get_u32_or("ecp-k", 6);
   const double spare_frac = args.get_double_or("spare-frac", 0.12);
   ReportBuilder rep("fault_tolerance",
                     parse_report_format(args.get_or("format", "text")),
@@ -87,6 +79,12 @@ int run_impl(const twl::CliArgs& args) {
     return SyntheticTrace(wp);
   };
   const WriteCount cap = 1ull << 40;
+  // The ECP stages' config, validated before the baseline run so that an
+  // out-of-domain --ecp-k fails at once.
+  Config ecp_config = Config::scaled(scale);
+  ecp_config.device = device_params;
+  ecp_config.fault.ecp_k = ecp_k;
+  ecp_config.validate();
 
   // 1. Baseline: the paper's model. One dead page ends the device.
   {
@@ -107,10 +105,7 @@ int run_impl(const twl::CliArgs& args) {
   // 2. ECP only: each page survives its first k stuck cells, but the
   //    (k+1)-th still kills the device.
   {
-    Config config = Config::scaled(scale);
-    config.device = device_params;
-    config.fault.ecp_k = ecp_k;
-    FaultSimulator sim(config);
+    FaultSimulator sim(ecp_config);
     auto source = make_source(scale.pages);
     const auto r = sim.run(scheme, source, cap);
     rep.note(strfmt("ECP-%u only:\n", ecp_k));
@@ -130,9 +125,7 @@ int run_impl(const twl::CliArgs& args) {
   // 3. ECP + spares: uncorrectable pages retire onto the spare pool and
   //    the device keeps serving until the pool runs dry.
   {
-    Config config = Config::scaled(scale);
-    config.device = device_params;
-    config.fault.ecp_k = ecp_k;
+    Config config = ecp_config;
     config.fault.spare_pages = static_cast<std::uint64_t>(
         static_cast<double>(scale.pages) * spare_frac);
     // TWL pairs pool pages, so keep the scheme-visible pool even.

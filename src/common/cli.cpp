@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 namespace twl {
@@ -83,6 +84,15 @@ std::uint64_t CliArgs::get_uint_or(const std::string& name,
     bad_value(name, *v, "a non-negative integer in range");
   }
   return static_cast<std::uint64_t>(parsed);
+}
+
+std::uint32_t CliArgs::get_u32_or(const std::string& name,
+                                  std::uint32_t def) const {
+  const std::uint64_t value = get_uint_or(name, def);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    bad_value(name, std::to_string(value), "at most 4294967295");
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 double CliArgs::get_double_or(const std::string& name, double def) const {

@@ -41,6 +41,10 @@ class CliArgs {
   /// Config::validate with a nonsensical device.
   [[nodiscard]] std::uint64_t get_uint_or(const std::string& name,
                                           std::uint64_t def) const;
+  /// get_uint_or for a 32-bit field: also rejects values above 2^32-1,
+  /// which a cast would wrap.
+  [[nodiscard]] std::uint32_t get_u32_or(const std::string& name,
+                                         std::uint32_t def) const;
   [[nodiscard]] double get_double_or(const std::string& name,
                                      double def) const;
   [[nodiscard]] bool get_bool_or(const std::string& name, bool def) const;

@@ -80,6 +80,14 @@ void Config::validate() const {
   require(rbsg.security_level > 0, "rbsg.security_level", "must be > 0");
 
   require(fault.fault_gap_frac > 0.0, "fault.fault_gap_frac", "must be > 0");
+  // A page fails at ecp_k + 1 stuck cells, so that count must exist on a
+  // page (and ecp_k + 1 must not wrap).
+  const std::uint64_t page_cells = std::uint64_t{geometry.page_bytes} * 8;
+  if (fault.ecp_k >= page_cells) {
+    reject("fault.ecp_k", "must be below the page's " +
+                              std::to_string(page_cells) + " cells, got " +
+                              std::to_string(fault.ecp_k));
+  }
   if (fault.spare_pages >= geometry.pages()) {
     reject("fault.spare_pages",
            "must leave at least one non-spare page (" +

@@ -66,6 +66,10 @@ SyntheticTrace::SyntheticTrace(const SyntheticParams& params,
 }
 
 LogicalPageAddr RequestSource::next_write() {
+  if (!has_writes()) {
+    throw std::runtime_error("request source has no write records: " +
+                             name());
+  }
   for (;;) {
     const MemoryRequest req = next();
     if (req.op == Op::kWrite) return req.addr;

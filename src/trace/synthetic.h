@@ -30,10 +30,15 @@ class RequestSource {
   /// replay workloads "in loops until a PCM page wears out", Section 5.1).
   virtual MemoryRequest next() = 0;
 
+  /// Whether next() ever gives a write. A source that may hold only
+  /// reads (a trace file) overrides it; a wrapper forwards it.
+  [[nodiscard]] virtual bool has_writes() const { return true; }
+
   /// The address of the next write, skipping the reads before it: the
   /// stream next() gives with its reads dropped, for simulators that
   /// count wear only. A source overrides it when a discarded read can
-  /// cost less than next() makes it cost.
+  /// cost less than next() makes it cost. Throws std::runtime_error
+  /// naming the source when has_writes() is false, rather than looping.
   virtual LogicalPageAddr next_write();
 };
 

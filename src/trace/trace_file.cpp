@@ -120,13 +120,6 @@ MemoryRequest TraceFileSource::next() {
   return req;
 }
 
-LogicalPageAddr TraceFileSource::next_write() {
-  if (!has_write_) {
-    throw std::runtime_error("trace file has no write records: " + name_);
-  }
-  return RequestSource::next_write();
-}
-
 RecordingSource::RecordingSource(std::unique_ptr<RequestSource> inner,
                                  const std::string& path)
     : inner_(std::move(inner)), writer_(path) {

@@ -48,9 +48,8 @@ class TraceFileSource final : public RequestSource {
 
   [[nodiscard]] std::string name() const override { return name_; }
   MemoryRequest next() override;
-  /// next() with the reads skipped, counting loops() the same way.
-  /// Throws std::runtime_error naming the file if it holds no write.
-  LogicalPageAddr next_write() override;
+  /// False for a file of reads only, whose next_write() then throws.
+  [[nodiscard]] bool has_writes() const override { return has_write_; }
 
   [[nodiscard]] std::size_t records() const { return records_.size(); }
   /// How many times the trace has wrapped around.
@@ -74,6 +73,9 @@ class RecordingSource final : public RequestSource {
     return inner_->name() + "(recorded)";
   }
   MemoryRequest next() override;
+  [[nodiscard]] bool has_writes() const override {
+    return inner_->has_writes();
+  }
 
  private:
   std::unique_ptr<RequestSource> inner_;

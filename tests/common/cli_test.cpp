@@ -111,6 +111,20 @@ TEST(CliArgs, UintParsesAndDefaults) {
   EXPECT_EQ(make({"--pages=0"}).get_uint_or("pages", 7), 0u);
 }
 
+// A 32-bit field read through get_uint_or and a cast wrapped 2^32 to 0:
+// bench_degradation --ecp-k 4294967296 ran with ECP off.
+TEST(CliArgs, U32RejectsValuesAbove32Bits) {
+  EXPECT_EQ(make({"--ecp-k=4294967295"}).get_u32_or("ecp-k", 6),
+            4294967295u);
+  EXPECT_EQ(make({}).get_u32_or("ecp-k", 6), 6u);
+  expect_cli_error(
+      [] { (void)make({"--ecp-k=4294967296"}).get_u32_or("ecp-k", 6); },
+      "--ecp-k");
+  expect_cli_error(
+      [] { (void)make({"--ecp-k=4294967296"}).get_u32_or("ecp-k", 6); },
+      "4294967296");
+}
+
 // Regression: count-like flags (--pages, --seed, --trials...) used to be
 // parsed as signed integers, so "--pages=-1" silently wrapped into a huge
 // unsigned page count downstream instead of failing at parse time.

@@ -108,6 +108,19 @@ TEST(ConfigValidate, RejectsBadFaultParams) {
   c = valid_config();
   c.fault.spare_pages = static_cast<std::uint32_t>(c.geometry.pages());
   expect_rejects(c, "fault.spare_pages");
+
+  // A page fails at ecp_k + 1 stuck cells, so ecp_k must stay below the
+  // page's cell count; at 2^32 - 1 the + 1 would wrap to 0.
+  const std::uint32_t cells = c.geometry.page_bytes * 8;
+  for (const std::uint32_t k : {cells, std::uint32_t{4294967294u},
+                                std::uint32_t{4294967295u}}) {
+    c = valid_config();
+    c.fault.ecp_k = k;
+    expect_rejects(c, "fault.ecp_k");
+  }
+  c = valid_config();
+  c.fault.ecp_k = cells - 1;
+  EXPECT_NO_THROW(c.validate());
 }
 
 TEST(ConfigValidate, SimulatorConstructorsValidate) {

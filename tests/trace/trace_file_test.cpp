@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
@@ -188,20 +189,29 @@ TEST_F(TraceFileTest, NextWriteSkipsReadsAndCountsLoopsAsNextDoes) {
 
 TEST_F(TraceFileTest, ReadsOnlyTraceThrowsInsteadOfHangingALifetimeRun) {
   write_file("R 1\nR 2\n");
+  const std::string recording = path_ + ".recorded";
   TraceFileSource reads_only(path_);
   EXPECT_EQ(reads_only.next().op, Op::kRead);  // next() still replays it.
+  // The recorder forwards the question to the source it wraps, so the
+  // recorded run throws too instead of drawing reads forever.
+  RecordingSource recorded(std::make_unique<TraceFileSource>(path_),
+                           recording);
   SimScale scale;
   scale.pages = 64;
   scale.endurance_mean = 1000;
   const LifetimeSimulator sim(Config::scaled(scale));
-  try {
-    (void)sim.run(Scheme::kNoWl, reads_only, 1000);
-    ADD_FAILURE() << "a trace with no write ran";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path_), std::string::npos) << what;
-    EXPECT_NE(what.find("no write"), std::string::npos) << what;
+  for (RequestSource* source :
+       std::initializer_list<RequestSource*>{&reads_only, &recorded}) {
+    try {
+      (void)sim.run(Scheme::kNoWl, *source, 1000);
+      ADD_FAILURE() << source->name() << ": a trace with no write ran";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path_), std::string::npos) << what;
+      EXPECT_NE(what.find("no write"), std::string::npos) << what;
+    }
   }
+  std::remove(recording.c_str());
 }
 
 TEST_F(TraceFileTest, RecordingSourceTees) {
