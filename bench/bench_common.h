@@ -61,8 +61,7 @@ inline BenchSetup make_setup(const CliArgs& args,
   BenchSetup setup{Config::scaled(scale), scale.pages, scale.endurance_mean,
                    /*jobs=*/1};
   apply_device_flag(args, setup.config);
-  setup.jobs = SimRunner::resolve_jobs(
-      static_cast<unsigned>(args.get_uint_or("jobs", 0)));
+  setup.jobs = SimRunner::resolve_jobs(args.get_u32_or("jobs", 0));
   return setup;
 }
 

@@ -43,7 +43,7 @@ int run_impl(const twl::CliArgs& args) {
   // intervals match the paper's suggested settings.
   const auto setup = bench::make_setup(args, 2048, 1e8);
   const std::uint64_t requests = args.get_uint_or("requests", 300000);
-  const auto mlp = static_cast<std::uint32_t>(args.get_uint_or("mlp", 8));
+  const std::uint32_t mlp = args.get_u32_or("mlp", 8);
   ReportBuilder rep = bench::make_reporter("bench_fig9", args);
   bench::check_unconsumed(args);
   bench::report_banner(

@@ -192,7 +192,7 @@ int bench_main(const CliArgs& args) {
   }
   const std::uint64_t writes = args.get_uint_or("writes", 200000);
   const std::uint64_t seed = args.get_uint_or("seed", 20170618);
-  const auto reps = static_cast<unsigned>(args.get_uint_or("reps", 5));
+  const unsigned reps = args.get_u32_or("reps", 5);
   const std::string schemes_flag =
       args.get_or("schemes", "StartGap,SR,RBSG,TWL");
   // Restrict the end-to-end grid for A/B digest comparisons in CI:

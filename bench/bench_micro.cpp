@@ -8,11 +8,13 @@
 #include <memory>
 #include <vector>
 
+#include "attack/attacks.h"
 #include "common/rng.h"
 #include "pcm/device.h"
 #include "recovery/journal.h"
 #include "recovery/recovery.h"
 #include "recovery/snapshot.h"
+#include "sim/attack_sim.h"
 #include "sim/memory_controller.h"
 #include "tables/remapping_table.h"
 #include "trace/parsec_model.h"
@@ -66,6 +68,24 @@ void BM_SchemeWriteTimed(benchmark::State& state, Scheme scheme) {
     now += mc.submit(req, now);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+/// AttackSimulator::run, the entry point perfbench's `attack` times: the
+/// inconsistent attacker against `scheme` over 512 pages, timing on,
+/// capped at 2^18 demand writes per iteration. TWL on PCM runs the typed
+/// controller and BWL the generic one (sim/dispatch.h). Items are demand
+/// writes.
+void BM_AttackRun(benchmark::State& state, Scheme scheme) {
+  const std::uint64_t pages = 512;
+  const Config config = bench_config(pages);
+  const AttackSimulator sim(config);
+  std::int64_t writes = 0;
+  for (auto _ : state) {
+    const auto attack = make_attack("inconsistent", pages, config.seed);
+    writes += static_cast<std::int64_t>(
+        sim.run(scheme, *attack, WriteCount{1} << 18).demand_writes);
+  }
+  state.SetItemsProcessed(writes);
 }
 
 void BM_Feistel8(benchmark::State& state) {
@@ -247,6 +267,10 @@ BENCHMARK_CAPTURE(BM_SchemeWrite, BWL, Scheme::kBloomWl);
 BENCHMARK_CAPTURE(BM_SchemeWrite, TWL, Scheme::kTossUpStrongWeak);
 BENCHMARK_CAPTURE(BM_SchemeWriteTimed, NOWL, Scheme::kNoWl);
 BENCHMARK_CAPTURE(BM_SchemeWriteTimed, TWL, Scheme::kTossUpStrongWeak);
+BENCHMARK_CAPTURE(BM_AttackRun, TWL, Scheme::kTossUpStrongWeak)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_AttackRun, BWL, Scheme::kBloomWl)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Feistel8);
 BENCHMARK(BM_XorShift);
 BENCHMARK(BM_XorShiftChain);

@@ -178,24 +178,22 @@ int run_impl(const CliArgs& args) {
   const std::string mode = args.get_or("mode", "virtual");
 
   ServiceConfig service;
-  service.tenancy.tenants =
-      static_cast<std::uint32_t>(args.get_uint_or("tenants", 1));
+  service.tenancy.tenants = args.get_u32_or("tenants", 1);
   service.tenancy.blend =
       parse_tenant_blend(args.get_or("tenant-blend", "uniform"));
   service.tenancy.quota_pages = args.get_uint_or("quota-pages", 0);
   service.tenancy.quota_rate = args.get_uint_or("quota-rate", 0);
   service.tenancy.quota_burst = args.get_uint_or("quota-burst", 16);
   service.tenancy.drr_quantum = args.get_uint_or("drr-quantum", 16);
-  service.shards = static_cast<std::uint32_t>(args.get_uint_or("shards", 4));
+  service.shards = args.get_u32_or("shards", 4);
   // Every tenant gets at least one client by default.
-  service.clients = static_cast<std::uint32_t>(args.get_uint_or(
-      "clients", std::max<std::uint64_t>(4, service.tenancy.tenants)));
+  service.clients = args.get_u32_or(
+      "clients", std::max<std::uint32_t>(4, service.tenancy.tenants));
   service.requests_per_client = args.get_uint_or("requests", 1 << 18);
   service.scheme_spec = args.get_or("scheme", "TWL");
   service.sharding = parse_sharding_policy(args.get_or("sharding", "hash"));
   service.overflow = parse_overflow_policy(args.get_or("overflow", "shed"));
-  service.queue_capacity =
-      static_cast<std::uint32_t>(args.get_uint_or("capacity", 256));
+  service.queue_capacity = args.get_u32_or("capacity", 256);
   service.deadline_cycles = args.get_uint_or("deadline", 0);
   service.mean_gap_cycles = args.get_uint_or("gap", 0);
   service.chaos.mean_interval_writes = args.get_uint_or("chaos", 0);

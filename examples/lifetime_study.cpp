@@ -41,8 +41,7 @@ int run_impl(const twl::CliArgs& args) {
   const double endurance = args.get_double_or("endurance", 16384);
   const double top_frac = args.get_double_or("top-frac", 0.05);
   const std::uint64_t seed = args.get_uint_or("seed", SimScale{}.seed);
-  const unsigned jobs = SimRunner::resolve_jobs(
-      static_cast<unsigned>(args.get_uint_or("jobs", 0)));
+  const unsigned jobs = SimRunner::resolve_jobs(args.get_u32_or("jobs", 0));
 
   ReportBuilder rep("lifetime_study",
                     parse_report_format(args.get_or("format", "text")),

@@ -60,15 +60,14 @@ int run_impl(const twl::CliArgs& args) {
   apply_device_flag(args, config);
 
   ServiceConfig service;
-  service.tenancy.tenants =
-      static_cast<std::uint32_t>(args.get_uint_or("tenants", 1));
+  service.tenancy.tenants = args.get_u32_or("tenants", 1);
   service.tenancy.blend =
       parse_tenant_blend(args.get_or("tenant-blend", "uniform"));
   service.tenancy.quota_pages = args.get_uint_or("quota-pages", 0);
   service.tenancy.quota_rate = args.get_uint_or("quota-rate", 0);
-  service.shards = static_cast<std::uint32_t>(args.get_uint_or("shards", 4));
-  service.clients = static_cast<std::uint32_t>(args.get_uint_or(
-      "clients", std::max<std::uint64_t>(4, service.tenancy.tenants)));
+  service.shards = args.get_u32_or("shards", 4);
+  service.clients = args.get_u32_or(
+      "clients", std::max<std::uint32_t>(4, service.tenancy.tenants));
   service.requests_per_client = args.get_uint_or("requests", 4096);
   service.queue_capacity = 64;
   // Paced arrivals with blocking back-pressure: the soak's claim is that

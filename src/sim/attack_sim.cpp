@@ -3,8 +3,31 @@
 #include "device/factory.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "sim/dispatch.h"
 
 namespace twl {
+namespace {
+
+/// The closed loop; returns its end time. Flattened, so that with a
+/// typed controller and attacker (sim/dispatch.h) the write path is
+/// inlined into this one body (DESIGN.md §12).
+template <class Controller, class Attack>
+[[gnu::flatten]] Cycles attack_loop(Controller& controller, Attack& attack,
+                                    std::uint64_t space,
+                                    WriteCount max_demand) {
+  Cycles now = 0;
+  Cycles last_latency = 0;
+  while (!controller.device_failed() &&
+         controller.stats().demand_writes < max_demand) {
+    MemoryRequest req = attack.next(last_latency);
+    req.addr = LogicalPageAddr(req.addr.value() % space);
+    last_latency = controller.submit(req, now);
+    now += last_latency;  // Back-to-back issue, as fast as the memory allows.
+  }
+  return now;
+}
+
+}  // namespace
 
 void AttackResult::write_json(JsonWriter& w) const {
   w.begin_object();
@@ -29,36 +52,36 @@ AttackResult AttackSimulator::run(Scheme scheme, AttackProgram& attack,
                                   WriteCount max_demand,
                                   MetricsRegistry* metrics,
                                   EventTracer* tracer) const {
-  const auto device_ptr = make_device(endurance_, config_);
-  Device& device = *device_ptr;
+  const auto device = make_device(endurance_, config_);
   const auto wl = make_wear_leveler(scheme, endurance_, config_);
-  MemoryController controller(device, *wl, config_, /*enable_timing=*/true);
-  controller.attach_metrics(metrics);
-  controller.attach_tracer(tracer);
+  return run_on(*device, *wl, attack, max_demand, metrics, tracer);
+}
 
-  const std::uint64_t space = wl->logical_pages();
-  Cycles now = 0;
-  Cycles last_latency = 0;
-  while (!controller.device_failed() &&
-         controller.stats().demand_writes < max_demand) {
-    MemoryRequest req = attack.next(last_latency);
-    req.addr = LogicalPageAddr(req.addr.value() % space);
-    last_latency = controller.submit(req, now);
-    now += last_latency;  // Back-to-back issue, as fast as the memory allows.
-  }
-
+AttackResult AttackSimulator::run_on(Device& device, WearLeveler& wl,
+                                     AttackProgram& attack,
+                                     WriteCount max_demand,
+                                     MetricsRegistry* metrics,
+                                     EventTracer* tracer) const {
   AttackResult result;
-  result.failed = controller.device_failed();
-  result.demand_writes = controller.stats().demand_writes;
+  with_controller(
+      device, wl, config_, /*enable_timing=*/true, [&](auto& controller) {
+        controller.attach_metrics(metrics);
+        controller.attach_tracer(tracer);
+        result.end_time = with_attack(attack, [&](auto& program) {
+          return attack_loop(controller, program, wl.logical_pages(),
+                             max_demand);
+        });
+        result.failed = controller.device_failed();
+        result.stats = controller.stats();
+        if (metrics != nullptr) controller.publish_metrics(*metrics);
+      });
+  result.demand_writes = result.stats.demand_writes;
   result.fraction_of_ideal =
       static_cast<double>(result.demand_writes) /
       static_cast<double>(endurance_.total_endurance());
-  result.end_time = now;
-  result.stats = controller.stats();
-  result.scheme = wl->name();
+  result.scheme = wl.name();
   result.attack = attack.name();
   if (metrics != nullptr) {
-    controller.publish_metrics(*metrics);
     metrics->counter("sim.attack.runs").inc();
     metrics->gauge("sim.attack.fraction_of_ideal")
         .set(result.fraction_of_ideal);

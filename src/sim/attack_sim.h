@@ -47,6 +47,15 @@ class AttackSimulator {
                    WriteCount max_demand, MetricsRegistry* metrics = nullptr,
                    EventTracer* tracer = nullptr) const;
 
+  /// run() on a device and scheme the caller built, fresh, over
+  /// endurance() and the config this simulator was given, as run() builds
+  /// them with make_device and make_wear_leveler. Both are left in their
+  /// end-of-run state, so the caller can read the device's wear.
+  AttackResult run_on(Device& device, WearLeveler& wl, AttackProgram& attack,
+                      WriteCount max_demand,
+                      MetricsRegistry* metrics = nullptr,
+                      EventTracer* tracer = nullptr) const;
+
   [[nodiscard]] const EnduranceMap& endurance() const { return endurance_; }
 
  private:

@@ -60,6 +60,14 @@ class LifetimeSimulator {
                      MetricsRegistry* metrics = nullptr,
                      EventTracer* tracer = nullptr) const;
 
+  /// run() on a device and scheme the caller built, fresh, over
+  /// endurance() and config(), as run() builds them with make_device and
+  /// make_wear_leveler. Both are left in their end-of-run state.
+  LifetimeResult run_on(Device& device, WearLeveler& wl,
+                        RequestSource& source, WriteCount max_demand,
+                        MetricsRegistry* metrics = nullptr,
+                        EventTracer* tracer = nullptr) const;
+
   [[nodiscard]] const EnduranceMap& endurance() const { return endurance_; }
   [[nodiscard]] const Config& config() const { return config_; }
 

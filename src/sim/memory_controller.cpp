@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "recovery/journal.h"
 #include "recovery/snapshot.h"
+#include "sim/dispatch.h"
 
 namespace twl {
 
@@ -23,11 +24,16 @@ std::string to_string(ControllerAvailability a) {
   return "unknown";
 }
 
-AvailabilitySignal MemoryController::availability_signal() const {
+template <class Wl, class Dev>
+AvailabilitySignal BasicMemoryController<Wl, Dev>::availability_signal()
+    const {
   AvailabilitySignal sig;
   sig.state = availability();
-  if (device_->backend() == DeviceBackend::kHybrid) {
-    const auto& hybrid = static_cast<const HybridDevice&>(*device_);
+  // Through the interface: a typed Dev such as PcmDevice cannot be cast
+  // to HybridDevice.
+  const Device& device = *device_;
+  if (device.backend() == DeviceBackend::kHybrid) {
+    const auto& hybrid = static_cast<const HybridDevice&>(device);
     const std::uint64_t accesses = hybrid.cache_hits() + hybrid.cache_misses();
     // No front-end traffic yet: report a full cache rather than a
     // spurious 0% that would trip a min-hit-rate health gate at boot.
@@ -105,8 +111,10 @@ void ControllerStats::load_state(SnapshotReader& r) {
   unretired_failures = r.get_u32();
 }
 
-MemoryController::MemoryController(Device& device, WearLeveler& wl,
-                                   const Config& config, bool enable_timing)
+template <class Wl, class Dev>
+BasicMemoryController<Wl, Dev>::BasicMemoryController(Dev& device, Wl& wl,
+                                                      const Config& config,
+                                                      bool enable_timing)
     : device_(&device),
       wl_(&wl),
       timing_(config.geometry, config.timing),
@@ -118,7 +126,9 @@ MemoryController::MemoryController(Device& device, WearLeveler& wl,
   }
 }
 
-void MemoryController::attach_metrics(MetricsRegistry* metrics) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::attach_metrics(
+    MetricsRegistry* metrics) {
   metrics_ = metrics;
   if (metrics_ == nullptr) {
     read_latency_hist_ = nullptr;
@@ -132,7 +142,9 @@ void MemoryController::attach_metrics(MetricsRegistry* metrics) {
       &metrics_->histogram("controller.write_latency_cycles");
 }
 
-void MemoryController::publish_metrics(MetricsRegistry& m) const {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::publish_metrics(
+    MetricsRegistry& m) const {
   stats_.publish(m);
   if (timing_enabled_) {
     LogHistogram& occupancy = m.histogram("timing.bank_busy_cycles");
@@ -147,14 +159,17 @@ void MemoryController::publish_metrics(MetricsRegistry& m) const {
   }
 }
 
-void MemoryController::restore_stats(const ControllerStats& stats) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::restore_stats(
+    const ControllerStats& stats) {
   assert(!timing_enabled_ && !retirement_ &&
          "restore_stats covers counter-only controller state");
   stats_ = stats;
 }
 
-void MemoryController::device_write(PhysicalPageAddr device_pa,
-                                    WritePurpose purpose) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::device_write(PhysicalPageAddr device_pa,
+                                                  WritePurpose purpose) {
   Cycles extra = 0;
   if (migration_wear_ || purpose == WritePurpose::kDemand) {
     extra = device_->apply_write(device_pa, newly_worn_);
@@ -168,30 +183,38 @@ void MemoryController::device_write(PhysicalPageAddr device_pa,
   }
 }
 
-void MemoryController::device_read(PhysicalPageAddr device_pa) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::device_read(
+    PhysicalPageAddr device_pa) {
   ++stats_.migration_reads;
   if (timing_enabled_) {
     chain_ = timing_.service(device_pa, Op::kRead, chain_).done;
   }
 }
 
-void MemoryController::charge_write(PhysicalPageAddr pa,
-                                    WritePurpose purpose) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::charge_write(PhysicalPageAddr pa,
+                                                  WritePurpose purpose) {
   device_write(to_device(pa), purpose);
 }
 
-void MemoryController::charge_read(PhysicalPageAddr pa) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::charge_read(PhysicalPageAddr pa) {
   device_read(to_device(pa));
 }
 
-void MemoryController::demand_write(PhysicalPageAddr pa, LogicalPageAddr la) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::demand_write(PhysicalPageAddr pa,
+                                                  LogicalPageAddr la) {
   (void)la;  // The data payload; wear and timing do not depend on it.
   TWL_TRACE(tracer_, TraceEventType::kDemandWrite, pa.value(), la.value());
   charge_write(pa, WritePurpose::kDemand);
 }
 
-void MemoryController::migrate(PhysicalPageAddr from, PhysicalPageAddr to,
-                               WritePurpose purpose) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::migrate(PhysicalPageAddr from,
+                                             PhysicalPageAddr to,
+                                             WritePurpose purpose) {
   // Two-phase protocol: log the intent, copy, commit. A crash between
   // intent and commit leaves the copy repairable from the scratch frame
   // (DESIGN.md); the mapping itself is restored by journal replay.
@@ -209,8 +232,10 @@ void MemoryController::migrate(PhysicalPageAddr from, PhysicalPageAddr to,
   TWL_TRACE(tracer_, TraceEventType::kSwapCommit, from.value(), to.value());
 }
 
-void MemoryController::swap_pages(PhysicalPageAddr a, PhysicalPageAddr b,
-                                  WritePurpose purpose) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::swap_pages(PhysicalPageAddr a,
+                                                PhysicalPageAddr b,
+                                                WritePurpose purpose) {
   TWL_TRACE(tracer_, TraceEventType::kSwapBegin, a.value(), b.value());
   if (journal_) {
     journal_->append_swap_intent(a, b, SwapKind::kExchange);
@@ -228,22 +253,26 @@ void MemoryController::swap_pages(PhysicalPageAddr a, PhysicalPageAddr b,
   TWL_TRACE(tracer_, TraceEventType::kSwapCommit, a.value(), b.value());
 }
 
-void MemoryController::engine_delay(Cycles cycles) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::engine_delay(Cycles cycles) {
   if (timing_enabled_) chain_ = sat_add_u64(chain_, cycles);
 }
 
-void MemoryController::erase_unit(PhysicalPageAddr pa) {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::erase_unit(PhysicalPageAddr pa) {
   const Cycles extra = device_->apply_erase(to_device(pa), newly_worn_);
   if (timing_enabled_ && extra != 0) chain_ = sat_add_u64(chain_, extra);
 }
 
-void MemoryController::begin_blocking() {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::begin_blocking() {
   in_blocking_ = true;
   ++stats_.blocking_events;
   TWL_TRACE(tracer_, TraceEventType::kBlockingBegin);
 }
 
-void MemoryController::end_blocking() {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::end_blocking() {
   in_blocking_ = false;
   TWL_TRACE(tracer_, TraceEventType::kBlockingEnd);
   if (timing_enabled_) {
@@ -253,7 +282,8 @@ void MemoryController::end_blocking() {
   }
 }
 
-void MemoryController::handle_failures() {
+template <class Wl, class Dev>
+void BasicMemoryController<Wl, Dev>::handle_failures() {
   // A salvage write may itself wear out its target (it lands on a spare),
   // so keep draining until the queue is empty.
   while (!newly_worn_.empty()) {
@@ -282,7 +312,9 @@ void MemoryController::handle_failures() {
   }
 }
 
-Cycles MemoryController::submit(const MemoryRequest& req, Cycles now) {
+template <class Wl, class Dev>
+Cycles BasicMemoryController<Wl, Dev>::submit(const MemoryRequest& req,
+                                              Cycles now) {
   if (req.op == Op::kRead) {
     ++stats_.reads;
     const PhysicalPageAddr pa = to_device(wl_->map_read(req.addr));
@@ -316,8 +348,9 @@ Cycles MemoryController::submit(const MemoryRequest& req, Cycles now) {
   return latency;
 }
 
-Cycles MemoryController::submit_write_batch(const LogicalPageAddr* las,
-                                            std::size_t count, Cycles now) {
+template <class Wl, class Dev>
+Cycles BasicMemoryController<Wl, Dev>::submit_write_batch(
+    const LogicalPageAddr* las, std::size_t count, Cycles now) {
   Cycles done = now;
   std::size_t i = 0;
   while (i < count) {
@@ -353,5 +386,9 @@ Cycles MemoryController::submit_write_batch(const LogicalPageAddr* las,
   }
   return timing_enabled_ ? done - now : 0;
 }
+
+// The generic instance, and every typed one sim/dispatch.h lists.
+template class BasicMemoryController<WearLeveler, Device>;
+template class BasicMemoryController<TossUpWl, PcmDevice>;
 
 }  // namespace twl

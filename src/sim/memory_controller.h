@@ -13,6 +13,14 @@
 // access, uncorrectable pages are salvaged onto spares transparently to
 // the scheme, and the device only counts as failed once a page dies with
 // the spare pool exhausted.
+//
+// The controller is a template over the scheme and device types it calls.
+// MemoryController, the instance over the WearLeveler and Device
+// interfaces, is the one every stack builds. sim/dispatch.h lists the
+// concrete pairs a simulator's write loop may run instead, so that the
+// optimizer can inline the whole write (DESIGN.md §12). Every instance
+// runs the same source, defined and explicitly instantiated in
+// memory_controller.cpp.
 #pragma once
 
 #include <array>
@@ -56,6 +64,9 @@ struct ControllerStats {
   /// Physical writes beyond the demand traffic (the wear-leveling tax).
   [[nodiscard]] WriteCount extra_writes() const;
 
+  friend bool operator==(const ControllerStats&,
+                         const ControllerStats&) = default;
+
   /// One JSON object with every counter plus the derived totals.
   void write_json(JsonWriter& w) const;
 
@@ -96,13 +107,16 @@ struct AvailabilitySignal {
   double cache_hit_rate = -1.0;
 };
 
-class MemoryController final : public WriteSink {
+/// `Wl` is WearLeveler or a final scheme class, `Dev` Device or a final
+/// device class; see MemoryController below.
+template <class Wl, class Dev>
+class BasicMemoryController final : public WriteSink {
  public:
   /// `device` and `wl` must outlive the controller. With
   /// `enable_timing == false`, submit() returns 0 and only wear and
   /// counters are tracked (the fast path for whole-lifetime simulation).
-  MemoryController(Device& device, WearLeveler& wl, const Config& config,
-                   bool enable_timing);
+  BasicMemoryController(Dev& device, Wl& wl, const Config& config,
+                        bool enable_timing);
 
   /// Serve one request arriving at `now`; returns its response latency.
   Cycles submit(const MemoryRequest& req, Cycles now);
@@ -170,8 +184,8 @@ class MemoryController final : public WriteSink {
   /// availability() plus the hybrid cache hit rate when the backing
   /// device is a HybridDevice (negative otherwise).
   [[nodiscard]] AvailabilitySignal availability_signal() const;
-  [[nodiscard]] const Device& device() const { return *device_; }
-  [[nodiscard]] const WearLeveler& wear_leveler() const { return *wl_; }
+  [[nodiscard]] const Dev& device() const { return *device_; }
+  [[nodiscard]] const Wl& wear_leveler() const { return *wl_; }
   [[nodiscard]] bool retirement_active() const {
     return retirement_.has_value();
   }
@@ -206,8 +220,8 @@ class MemoryController final : public WriteSink {
   /// otherwise deliver on_page_failed and latch device failure.
   void handle_failures();
 
-  Device* device_;
-  WearLeveler* wl_;
+  Dev* device_;
+  Wl* wl_;
   PcmTiming timing_;
   bool timing_enabled_;
   bool migration_wear_;
@@ -223,5 +237,11 @@ class MemoryController final : public WriteSink {
   std::vector<PhysicalPageAddr> newly_worn_;  ///< Failure notification queue.
   ControllerStats stats_;
 };
+
+/// The controller over the scheme and device interfaces: it serves any
+/// scheme on any backend.
+using MemoryController = BasicMemoryController<WearLeveler, Device>;
+
+extern template class BasicMemoryController<WearLeveler, Device>;
 
 }  // namespace twl
