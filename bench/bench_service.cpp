@@ -1,14 +1,9 @@
-// Service front-end bench: sharded controllers serving live traffic.
+// Service front-end bench: sharded controllers serving seeded traffic.
 //
-// Two modes share one configuration:
-//  * --mode virtual  — deterministic discrete-event run (the default).
-//    Per-shard tables, terminal accounting, chaos/recovery tallies and
-//    the service digest are identical for any --jobs value; CI diffs
-//    --jobs 1 against --jobs N.
-//  * --mode realtime — real threads (one worker per shard, --clients
-//    client threads) through bounded MPSC queues. Reports sustained
-//    requests/s and p50/p99 latency; this is the throughput number
-//    EXPERIMENTS.md quotes and BENCH_service.json pins.
+// A deterministic discrete-event run in virtual cycles. Per-shard
+// tables, terminal accounting, chaos/recovery tallies and the service
+// digest are identical for any --jobs value; CI diffs --jobs 1 against
+// --jobs N.
 #include <string>
 
 #include "analysis/report.h"
@@ -23,7 +18,6 @@ constexpr const char kUsage[] =
     "usage: bench_service [flags]\n"
     "  Resilient service front-end: sharded controllers with\n"
     "  back-pressure, deadlines, retries and chaos recovery.\n"
-    "  --mode M         virtual (default) or realtime\n"
     "  --shards N       controller shards (default 4)\n"
     "  --clients N      concurrent clients (default 4)\n"
     "  --requests N     requests per client (default 262144)\n"
@@ -31,7 +25,7 @@ constexpr const char kUsage[] =
     "  --sharding P     hash (default) or modulo\n"
     "  --overflow P     shed (default) or block\n"
     "  --capacity N     per-shard queue capacity (default 256)\n"
-    "  --deadline C     per-request deadline in cycles/ns (0 = none)\n"
+    "  --deadline C     per-request deadline in cycles (0 = none)\n"
     "  --gap C          mean client inter-arrival gap (0 = closed loop)\n"
     "  --tenants N      tenant count (default 1; > 1 engages tenant mode)\n"
     "  --tenant-blend B uniform (default), hostile or hammer\n"
@@ -48,7 +42,7 @@ constexpr const char kUsage[] =
     "  --endurance E    mean per-page endurance (default 1e6)\n"
     "  --sigma F        endurance sigma fraction (default 0.11)\n"
     "  --seed S         RNG seed\n"
-    "  --jobs N         parallel shard cells, virtual mode (1 = serial)\n"
+    "  --jobs N         parallel shard cells (1 = serial)\n"
     "  --format F       report format: text (default), json, csv\n"
     "  --out FILE       write the report to FILE instead of stdout\n"
     "  --device B             storage backend: pcm (default), nor, hybrid\n"
@@ -61,7 +55,7 @@ constexpr const char kUsage[] =
 using namespace twl;
 
 void report_result(ReportBuilder& rep, const ServiceConfig& service,
-                   const ServiceRunResult& r, const std::string& mode) {
+                   const ServiceRunResult& r) {
   TextTable table;
   table.add_row({"shard", "health", "accepted", "shed", "timeout",
                  "retries", "peak-q", "crashes", "inv-fail", "digest"});
@@ -79,7 +73,7 @@ void report_result(ReportBuilder& rep, const ServiceConfig& service,
          std::to_string(s.outcome.invariant_failures),
          strfmt("%08x", s.state_digest)});
   }
-  rep.table("service_" + mode, table);
+  rep.table("service_virtual", table);
 
   const bool tenant_mode = !r.tenants.empty();
   if (tenant_mode) {
@@ -96,10 +90,9 @@ void report_result(ReportBuilder& rep, const ServiceConfig& service,
                   std::to_string(t.totals.timed_out),
                   t.totals.accounting_exact() ? "exact" : "BROKEN"});
     }
-    rep.table("tenants_" + mode, tt);
+    rep.table("tenants_virtual", tt);
     rep.note(strfmt(
-        "%s tenants: %llu quota-shed aggregate; per-tenant books %s\n",
-        mode.c_str(),
+        "virtual tenants: %llu quota-shed aggregate; per-tenant books %s\n",
         static_cast<unsigned long long>(r.totals.quota_shed),
         [&] {
           for (const TenantReport& t : r.tenants) {
@@ -109,73 +102,63 @@ void report_result(ReportBuilder& rep, const ServiceConfig& service,
         }()));
   }
 
-  const char* unit = mode == "realtime" ? "ns" : "cycles";
   rep.note(strfmt(
-      "%s: %llu submitted = %llu accepted + %llu shed + %llu timed out "
+      "virtual: %llu submitted = %llu accepted + %llu shed + %llu timed out "
       "(%s)\n"
-      "latency p50 %.0f %s, p99 %.0f %s; %llu crashes, %llu recovered, "
-      "%llu invariant failures, digest %08x\n",
-      mode.c_str(), static_cast<unsigned long long>(r.totals.submitted),
+      "latency p50 %.0f cycles, p99 %.0f cycles; %llu crashes, %llu "
+      "recovered, %llu invariant failures, digest %08x\n",
+      static_cast<unsigned long long>(r.totals.submitted),
       static_cast<unsigned long long>(r.totals.accepted),
       static_cast<unsigned long long>(r.totals.shed_overflow +
                                       r.totals.shed_unavailable +
                                       r.totals.quota_shed),
       static_cast<unsigned long long>(r.totals.timed_out),
       r.totals.accounting_exact() ? "exact" : "BROKEN",
-      r.latency_p50, unit, r.latency_p99, unit,
+      r.latency_p50, r.latency_p99,
       static_cast<unsigned long long>(r.chaos_totals.crashes),
       static_cast<unsigned long long>(r.chaos_totals.recoveries),
       static_cast<unsigned long long>(r.chaos_totals.invariant_failures),
       r.service_digest));
-  if (mode == "realtime") {
-    rep.note(strfmt("sustained %.3g requests/s over %.2f s wall\n",
-                    r.requests_per_second, r.wall_seconds));
-  }
   if (service.verify_final_state) {
     std::uint64_t verified = 0;
     for (const ShardReport& s : r.shards) verified += s.history_verified;
     rep.note(strfmt("accepted-history replay verified on %llu/%zu shards\n",
                     static_cast<unsigned long long>(verified),
                     r.shards.size()));
-    rep.scalar(mode + ".history_verified_shards",
+    rep.scalar("virtual.history_verified_shards",
                static_cast<double>(verified));
   }
   rep.raw_text("\n");
 
-  rep.scalar(mode + ".submitted", static_cast<double>(r.totals.submitted));
-  rep.scalar(mode + ".accepted", static_cast<double>(r.totals.accepted));
-  rep.scalar(mode + ".shed",
+  rep.scalar("virtual.submitted", static_cast<double>(r.totals.submitted));
+  rep.scalar("virtual.accepted", static_cast<double>(r.totals.accepted));
+  rep.scalar("virtual.shed",
              static_cast<double>(r.totals.shed_overflow +
                                  r.totals.shed_unavailable));
-  rep.scalar(mode + ".timed_out",
+  rep.scalar("virtual.timed_out",
              static_cast<double>(r.totals.timed_out));
-  rep.scalar(mode + ".accounting_exact",
+  rep.scalar("virtual.accounting_exact",
              r.totals.accounting_exact() ? 1.0 : 0.0);
   if (tenant_mode) {
     bool books = true;
     for (const TenantReport& t : r.tenants) {
       books = books && t.totals.accounting_exact();
     }
-    rep.scalar(mode + ".quota_shed",
+    rep.scalar("virtual.quota_shed",
                static_cast<double>(r.totals.quota_shed));
-    rep.scalar(mode + ".tenant_books_exact", books ? 1.0 : 0.0);
+    rep.scalar("virtual.tenant_books_exact", books ? 1.0 : 0.0);
   }
-  rep.scalar(mode + ".latency_p50", r.latency_p50);
-  rep.scalar(mode + ".latency_p99", r.latency_p99);
-  rep.scalar(mode + ".crashes", static_cast<double>(r.chaos_totals.crashes));
-  rep.scalar(mode + ".invariant_failures",
+  rep.scalar("virtual.latency_p50", r.latency_p50);
+  rep.scalar("virtual.latency_p99", r.latency_p99);
+  rep.scalar("virtual.crashes", static_cast<double>(r.chaos_totals.crashes));
+  rep.scalar("virtual.invariant_failures",
              static_cast<double>(r.chaos_totals.invariant_failures));
-  rep.scalar(mode + ".service_digest",
+  rep.scalar("virtual.service_digest",
              static_cast<double>(r.service_digest));
-  if (mode == "realtime") {
-    rep.scalar("realtime.requests_per_second", r.requests_per_second);
-    rep.scalar("realtime.wall_seconds", r.wall_seconds);
-  }
 }
 
 int run_impl(const CliArgs& args) {
   auto setup = bench::make_setup(args, 64, 1e6);
-  const std::string mode = args.get_or("mode", "virtual");
 
   ServiceConfig service;
   service.tenancy.tenants = args.get_u32_or("tenants", 1);
@@ -202,14 +185,9 @@ int run_impl(const CliArgs& args) {
 
   ReportBuilder rep = bench::make_reporter("bench_service", args);
   bench::check_unconsumed(args);
-  if (mode != "virtual" && mode != "realtime") {
-    throw std::invalid_argument("unknown --mode '" + mode +
-                                "' (valid: virtual, realtime)");
-  }
 
   bench::report_banner(
       rep, "Service front-end (sharded controllers under load)", setup);
-  rep.config_entry("mode", mode);
   rep.config_entry("shards", service.shards);
   rep.config_entry("clients", service.clients);
   rep.config_entry("requests_per_client", service.requests_per_client);
@@ -230,38 +208,24 @@ int run_impl(const CliArgs& args) {
   }
 
   const ServiceFrontEnd fe(setup.config, service);
-  std::uint64_t invariant_failures = 0;
-  bool accounting_ok = true;
+  SimRunner runner(setup.jobs);
+  const ServiceRunResult r = fe.run_virtual(runner);
+  report_result(rep, service, r);
+  rep.metrics(r.metrics);
+  bench::report_runner_footer(rep, runner.report());
 
   // Aggregate, per-tenant AND directory checks must all pass for a
   // zero exit.
-  const auto books_exact = [](const ServiceRunResult& r) {
-    bool ok = r.totals.accounting_exact();
-    for (const TenantReport& t : r.tenants) {
-      ok = ok && t.totals.accounting_exact();
-    }
-    for (const ShardReport& s : r.shards) ok = ok && s.directory_verified;
-    return ok;
-  };
-
-  if (mode == "virtual") {
-    SimRunner runner(setup.jobs);
-    const ServiceRunResult r = fe.run_virtual(runner);
-    report_result(rep, service, r, "virtual");
-    rep.metrics(r.metrics);
-    invariant_failures = r.chaos_totals.invariant_failures;
-    accounting_ok = books_exact(r);
-    bench::report_runner_footer(rep, runner.report());
-  } else {
-    const ServiceRunResult r = fe.run_realtime();
-    report_result(rep, service, r, "realtime");
-    rep.metrics(r.metrics);
-    invariant_failures = r.chaos_totals.invariant_failures;
-    accounting_ok = books_exact(r);
+  bool books_exact = r.totals.accounting_exact();
+  for (const TenantReport& t : r.tenants) {
+    books_exact = books_exact && t.totals.accounting_exact();
+  }
+  for (const ShardReport& s : r.shards) {
+    books_exact = books_exact && s.directory_verified;
   }
 
   rep.finish();
-  return invariant_failures == 0 && accounting_ok ? 0 : 1;
+  return r.chaos_totals.invariant_failures == 0 && books_exact ? 0 : 1;
 }
 
 }  // namespace

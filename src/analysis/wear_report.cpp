@@ -8,26 +8,9 @@
 
 #include "analysis/report.h"
 #include "common/stats.h"
-#include "obs/json.h"
 #include "pcm/fault_model.h"
 
 namespace twl {
-
-void WearSummary::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("mean_fraction", mean_fraction);
-  w.kv("cov", cov);
-  w.kv("gini", gini);
-  w.kv("p50", p50);
-  w.kv("p90", p90);
-  w.kv("p99", p99);
-  w.kv("max", max);
-  w.kv("untouched_pages", untouched_pages);
-  w.kv("dead_pages", dead_pages);
-  w.kv("stuck_faults", stuck_faults);
-  w.kv("ecp_corrected_faults", ecp_corrected_faults);
-  w.end_object();
-}
 
 double gini_coefficient(std::vector<double> values) {
   if (values.empty()) return 0.0;

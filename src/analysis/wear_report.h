@@ -14,8 +14,6 @@
 
 namespace twl {
 
-class JsonWriter;
-
 struct WearSummary {
   double mean_fraction = 0.0;  ///< Mean of per-page wear/endurance.
   double cov = 0.0;            ///< Coefficient of variation of the above.
@@ -31,9 +29,6 @@ struct WearSummary {
   /// Stuck-at counters (0 unless the device runs the fault model).
   std::uint64_t stuck_faults = 0;
   std::uint64_t ecp_corrected_faults = 0;
-
-  /// One JSON object with every field.
-  void write_json(JsonWriter& w) const;
 };
 
 /// Summary of the device's current wear fractions (any backend).

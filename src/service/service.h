@@ -1,4 +1,4 @@
-// Service front-end: live concurrent clients over sharded controllers.
+// Service front-end: seeded clients over sharded controllers.
 //
 // ServiceFrontEnd turns the batch simulator into a request-serving
 // system: C seeded clients generate write traffic over tenant-scoped
@@ -12,51 +12,43 @@
 // chaos injection and the retirement availability signal.
 //
 // Every run has a TenantDirectory (service/tenant.h); the default is one
-// unlimited tenant owning the whole space. Both engines keep books per
-// tenant only and sum them into shard and service totals when a shard
-// finishes (finalize_shard, shared by both engines):
+// unlimited tenant owning the whole space. The engine keeps books per
+// tenant only and sums them into shard and service totals when a shard
+// finishes (finalize_shard).
 //
-//  * run_virtual — seeded discrete-event simulation in virtual cycles,
-//    a pure function of (Config, ServiceConfig): byte-identical across
-//    --jobs 1 / --jobs N and across repeated runs at a fixed seed. It
-//    streams arrivals through windows of virtual time
-//    (service/virtual_engine.h): the clients emit every arrival due
-//    before the window's end, its horizon, into per-shard buffers put in
-//    (time, client) order, and one SimRunner::run_all grid advances each
-//    shard's resumable engine through every event strictly before the
-//    horizon; a last call with no horizon drains the shards. The
-//    runner's report therefore counts shard-windows as cells. Events
-//    are served in (time, client, submit, attempt) order, so no window
-//    cut changes a decision. The admission gates run in order —
-//    deadline, quota, health, back-pressure — and only the service
-//    discipline forks on TenancyConfig::active(): the single-unlimited-
-//    tenant default executes each request at admission, FIFO; tenant
-//    mode queues per tenant and drains deficit-round-robin, each drain
-//    one submit_write_batch group so journaling amortizes across it.
-//    FIFO stays for the default because the golden digests and the
-//    benchmark replay pin its output byte for byte (DESIGN.md §13).
+// run_virtual is a seeded discrete-event simulation in virtual cycles,
+// a pure function of (Config, ServiceConfig): byte-identical across
+// --jobs 1 / --jobs N and across repeated runs at a fixed seed. It
+// streams arrivals through windows of virtual time
+// (service/virtual_engine.h): the clients emit every arrival due before
+// the window's end, its horizon, into per-shard buffers put in (time,
+// client) order, and one SimRunner::run_all grid advances each shard's
+// resumable engine through every event strictly before the horizon; a
+// last call with no horizon drains the shards. The runner's report
+// therefore counts shard-windows as cells. Events are served in (time,
+// client, submit, attempt) order, so no window cut changes a decision.
+// The admission gates run in order — deadline, quota, health,
+// back-pressure — and only the service discipline forks on
+// TenancyConfig::active(): the single-unlimited-tenant default executes
+// each request at admission, FIFO; tenant mode queues per tenant and
+// drains deficit-round-robin, each drain one submit_write_batch group so
+// journaling amortizes across it. FIFO stays for the default because the
+// golden digests and the benchmark replay pin its output byte for byte
+// (DESIGN.md §13).
 //
-//  * run_realtime — real threads: one worker per shard draining one
-//    BoundedMpscQueue lane per tenant deficit-round-robin through
-//    execute_batch, C client threads staging into the lanes,
-//    wall-clock deadlines and backoff (virtual cycles are interpreted
-//    1:1 as nanoseconds). A single tenant is one lane per shard, which
-//    its worker waits on blocking. Reports sustained requests/s and
-//    tail latency; not deterministic, but TSan-clean.
-//
-// Accounting invariant, both modes: every submitted request terminates
-// in exactly one of accepted / shed (overflow or unavailable) /
-// quota_shed / timed_out, so accepted + shed + quota_shed + timed_out ==
-// submitted — retries and blocked waits are events along the way, not
-// terminal outcomes. The identity holds per tenant, per shard and in
-// aggregate. Tenant rows, quota_shed and the service.tenant.* counters
-// are reported only in tenant mode, so the single-tenant report keeps
-// its pre-tenant shape.
+// Accounting invariant: every submitted request terminates in exactly
+// one of accepted / shed (overflow or unavailable) / quota_shed /
+// timed_out, so accepted + shed + quota_shed + timed_out == submitted —
+// retries and blocked waits are events along the way, not terminal
+// outcomes. The identity holds per tenant, per shard and in aggregate.
+// Tenant rows, quota_shed and the service.tenant.* counters are reported
+// only in tenant mode, so the single-tenant report keeps its pre-tenant
+// shape.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -70,7 +62,6 @@
 
 namespace twl {
 
-class JsonWriter;
 class SimRunner;
 struct ShardCellResult;
 
@@ -91,10 +82,9 @@ struct TenancyConfig {
   TenantBlend blend = TenantBlend::kUniform;
   /// Per-tenant per-shard page budget; 0 = equal split of the shard.
   std::uint64_t quota_pages = 0;
-  /// Token-bucket write-rate limit, tokens per 1000 cycles (ns in
-  /// realtime) per shard; 0 = unlimited. Enforced per (tenant, shard)
-  /// so shard cells stay independent — the aggregate allowance is
-  /// rate * shards.
+  /// Token-bucket write-rate limit, tokens per 1000 cycles per shard;
+  /// 0 = unlimited. Enforced per (tenant, shard) so shard cells stay
+  /// independent — the aggregate allowance is rate * shards.
   std::uint64_t quota_rate = 0;
   std::uint64_t quota_burst = 16;  ///< Bucket capacity.
   /// Deficit-round-robin quantum: max requests one tenant drains (and
@@ -119,8 +109,7 @@ struct ServiceConfig {
   /// Outstanding requests (queued + in service) one shard holds.
   std::uint32_t queue_capacity = 256;
 
-  // Virtual-time request model. In real-time mode, cycle-valued knobs
-  // (deadline, backoff) are interpreted 1:1 as nanoseconds.
+  // Virtual-time request model.
   Cycles service_cycles = 600;     ///< Nominal per-write service time.
   Cycles mean_gap_cycles = 0;      ///< Per-client inter-arrival mean; 0 =
                                    ///< closed-loop back-to-back.
@@ -236,14 +225,8 @@ struct ServiceRunResult {
   /// instruments: counters for every ServiceTotals field, the
   /// service.request_latency histogram, queue-depth gauge/histogram.
   MetricsRegistry metrics;
-  double latency_p50 = 0.0;  ///< Cycles (virtual) / ns (real-time).
+  double latency_p50 = 0.0;  ///< Cycles.
   double latency_p99 = 0.0;
-  // Real-time mode only (0 in virtual mode).
-  double wall_seconds = 0.0;
-  double requests_per_second = 0.0;  ///< Accepted / wall.
-
-  /// One JSON object for twl-report/1 embedding.
-  void write_json(JsonWriter& w) const;
 
   friend bool operator==(const ServiceRunResult&,
                          const ServiceRunResult&) = default;
@@ -286,9 +269,6 @@ class ServiceFrontEnd {
   /// SimRunner cells.
   [[nodiscard]] ServiceRunResult run_virtual(SimRunner& runner) const;
 
-  /// Threaded run: one worker per shard + `clients` client threads.
-  [[nodiscard]] ServiceRunResult run_realtime() const;
-
  private:
   // The virtual engine (service/virtual_engine.h).
   friend class ArrivalGenerator;
@@ -298,7 +278,7 @@ class ServiceFrontEnd {
   /// Client c's request stream over its tenant's private space.
   [[nodiscard]] FleetStream client_stream(std::uint32_t client) const;
   /// Sums per-tenant `books` into the ShardReport and publishes the
-  /// shard's metrics; shared by both engines.
+  /// shard's metrics.
   void finalize_shard(const ServiceShard& shard,
                       const std::vector<ServiceTotals>& books,
                       std::uint64_t peak_depth, ShardCellResult& out) const;

@@ -101,11 +101,11 @@ void ServiceShard::feed_availability() {
       // Retirement feed: spares are being consumed. Degraded is sticky —
       // the underlying capacity loss does not heal.
       retire_degraded_ = true;
-      health_.store(HealthState::kDegraded, std::memory_order_relaxed);
+      health_ = HealthState::kDegraded;
       break;
     case ControllerAvailability::kFailed:
-      dead_.store(true, std::memory_order_relaxed);
-      health_.store(HealthState::kQuarantined, std::memory_order_relaxed);
+      dead_ = true;
+      health_ = HealthState::kQuarantined;
       break;
   }
   // Hybrid cache-thrash gate: a shard whose DRAM cache absorbs too few
@@ -117,7 +117,7 @@ void ServiceShard::feed_availability() {
     if (sig.cache_hit_rate < params_.min_cache_hit_rate) {
       cache_degraded_ = true;
       if (!dead()) {
-        health_.store(HealthState::kDegraded, std::memory_order_relaxed);
+        health_ = HealthState::kDegraded;
       }
     } else {
       cache_degraded_ = false;  // Heals; decay_degraded restores healthy.
@@ -127,10 +127,10 @@ void ServiceShard::feed_availability() {
 
 void ServiceShard::decay_degraded() {
   if (!retire_degraded_ && !cache_degraded_ && !dead() &&
-      health_.load(std::memory_order_relaxed) == HealthState::kDegraded) {
+      health_ == HealthState::kDegraded) {
     if (degraded_remaining_ > 0) --degraded_remaining_;
     if (degraded_remaining_ == 0) {
-      health_.store(HealthState::kHealthy, std::memory_order_relaxed);
+      health_ = HealthState::kHealthy;
     }
   }
 }
@@ -205,7 +205,7 @@ ShardBatchOutcome ServiceShard::execute_batch(const LogicalPageAddr* las,
 
 ShardExecOutcome ServiceShard::crash(const ChaosEvent& ev, LogicalPageAddr la,
                                      std::uint64_t k) {
-  health_.store(HealthState::kQuarantined, std::memory_order_relaxed);
+  health_ = HealthState::kQuarantined;
   // The reference replays the addresses live clients actually submitted,
   // from the accepted log, then a seeded probe: the shard has no workload
   // stream of its own to continue.
@@ -226,7 +226,7 @@ ShardExecOutcome ServiceShard::crash(const ChaosEvent& ev, LogicalPageAddr la,
   // The re-based snapshots cover everything up to the recovered base.
   trim_log(rec.committed);
 
-  health_.store(HealthState::kDegraded, std::memory_order_relaxed);
+  health_ = HealthState::kDegraded;
   degraded_remaining_ = params_.degraded_window_writes;
   // Tenant mode: the directory must come back intact from the same
   // recovery pass; damage counts as an invariant failure.

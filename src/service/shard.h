@@ -26,12 +26,10 @@
 //    (dead()) — the front-end sheds its traffic and the rest of the
 //    service degrades gracefully instead of failing.
 //
-// Thread model: execute() and the finalization queries are single-owner
-// (one engine cell or one worker thread); health()/dead() are atomic so
-// real-time client threads may poll them concurrently.
+// Thread model: a shard has one owner at a time (the engine cell that
+// serves its window), so no member is shared between threads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -143,16 +141,10 @@ class ServiceShard {
     return stack_.journal().total_bytes_appended();
   }
 
-  /// Concurrent-safe health probes (relaxed atomics; the value is a
-  /// routing heuristic, not a synchronization point).
-  [[nodiscard]] HealthState health() const {
-    return health_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] HealthState health() const { return health_; }
   /// Permanently failed: a page died with the spare pool exhausted. The
   /// shard stays kQuarantined forever and accepts no further writes.
-  [[nodiscard]] bool dead() const {
-    return dead_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool dead() const { return dead_; }
 
   /// CRC-32 over the final scheme snapshot body (excluding its own CRC
   /// tail) chained into the device wear state — the byte-identity
@@ -213,8 +205,8 @@ class ServiceShard {
   std::uint64_t log_base_ = 0;
   std::vector<std::uint32_t> history_;  ///< keep_history only.
 
-  std::atomic<HealthState> health_{HealthState::kHealthy};
-  std::atomic<bool> dead_{false};
+  HealthState health_ = HealthState::kHealthy;
+  bool dead_ = false;
   std::uint64_t degraded_remaining_ = 0;
   bool retire_degraded_ = false;  ///< Retirement feed: sticky kDegraded.
   bool cache_degraded_ = false;   ///< Hit-rate floor: sticky kDegraded.

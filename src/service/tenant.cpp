@@ -77,23 +77,24 @@ TenantDirectory TenantDirectory::carve(
     throw std::invalid_argument(
         "tenant directory: need at least one shard and one tenant");
   }
-  std::uint64_t explicit_sum = 0;
+  // Each budget is checked against what the earlier ones left, so no
+  // sum of budgets can wrap.
+  std::uint64_t left = local_pages;
   std::uint64_t zero_budget = 0;
-  for (const std::uint64_t b : budgets) {
-    if (b == 0) {
+  for (std::size_t t = 0; t < budgets.size(); ++t) {
+    if (budgets[t] == 0) {
       ++zero_budget;
+    } else if (budgets[t] > left) {
+      throw std::invalid_argument(
+          "tenant directory: page budgets oversubscribe the shard (tenant " +
+          std::to_string(t) + " asks for " + std::to_string(budgets[t]) +
+          " pages, " + std::to_string(left) + " of " +
+          std::to_string(local_pages) + " local pages left)");
     } else {
-      explicit_sum += b;
+      left -= budgets[t];
     }
   }
-  if (explicit_sum > local_pages) {
-    throw std::invalid_argument(
-        "tenant directory: page budgets oversubscribe the shard (" +
-        std::to_string(explicit_sum) + " > " + std::to_string(local_pages) +
-        " local pages)");
-  }
-  const std::uint64_t share =
-      zero_budget == 0 ? 0 : (local_pages - explicit_sum) / zero_budget;
+  const std::uint64_t share = zero_budget == 0 ? 0 : left / zero_budget;
 
   TenantDirectory d;
   d.shards_ = shards;
@@ -177,15 +178,17 @@ void TenantDirectory::load_state(SnapshotReader& r) {
     throw SnapshotError("tenant directory: inconsistent structure");
   }
   // Structural validation: spans must be disjoint, in order, in range.
+  // Each span is checked against what is left of the local pages, so no
+  // sum of spans can wrap.
   std::uint64_t expect_base = 0;
   for (std::size_t t = 0; t < base.size(); ++t) {
     if (base[t] != expect_base || span[t] == 0) {
       throw SnapshotError("tenant directory: malformed span table");
     }
+    if (span[t] > local_pages - expect_base) {
+      throw SnapshotError("tenant directory: spans exceed local pages");
+    }
     expect_base += span[t];
-  }
-  if (expect_base > local_pages) {
-    throw SnapshotError("tenant directory: spans exceed local pages");
   }
   shards_ = shards;
   local_pages_ = local_pages;
@@ -212,12 +215,24 @@ TenantDirectory TenantDirectory::deserialize(
 // TokenBucket.
 
 void TokenBucket::refill(Cycles now) {
-  if (now <= last_) return;  // Realtime threads may observe time jitter.
+  if (now <= last_) return;  // No time has passed.
   const Cycles delta = now - last_;
   last_ = now;
-  carry_ += delta * rate_;
-  const std::uint64_t whole = carry_ / 1000;
-  carry_ %= 1000;
+  std::uint64_t numerator = 0;
+  std::uint64_t whole = 0;
+  if (__builtin_mul_overflow(delta, rate_, &numerator) ||
+      __builtin_add_overflow(numerator, carry_, &numerator)) [[unlikely]] {
+    // The credit outgrows 64 bits: take it exactly in 128. More whole
+    // tokens than the burst would all be discarded below anyway.
+    const unsigned __int128 wide =
+        static_cast<unsigned __int128>(delta) * rate_ + carry_;
+    carry_ = static_cast<std::uint64_t>(wide % 1000);
+    whole = wide / 1000 > burst_ ? burst_
+                                 : static_cast<std::uint64_t>(wide / 1000);
+  } else {
+    carry_ = numerator % 1000;
+    whole = numerator / 1000;
+  }
   // Saturate at burst; excess credit is discarded (standard bucket).
   const std::uint64_t headroom = burst_ - tokens_;
   tokens_ += whole < headroom ? whole : headroom;
@@ -229,14 +244,6 @@ bool TokenBucket::try_take(Cycles now) {
   if (tokens_ == 0) return false;
   --tokens_;
   return true;
-}
-
-std::uint64_t TokenBucket::take_up_to(std::uint64_t n, Cycles now) {
-  if (rate_ == 0) return n;  // Unlimited.
-  refill(now);
-  const std::uint64_t granted = n < tokens_ ? n : tokens_;
-  tokens_ -= granted;
-  return granted;
 }
 
 }  // namespace twl

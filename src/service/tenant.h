@@ -43,7 +43,7 @@ using TenantId = std::uint32_t;
 
 /// The tenant-scoped submission unit. `la` indexes the tenant's private
 /// logical space [0, TenantDirectory::tenant_pages(tenant)); `deadline`
-/// is an absolute cycle (virtual) / ns (realtime), 0 = none.
+/// is an absolute cycle, 0 = none.
 struct ServiceRequest {
   TenantId tenant = 0;
   std::uint32_t la = 0;
@@ -142,7 +142,8 @@ class TenantDirectory {
 /// per 1000 cycles, capacity `burst`. Sub-token credit accumulates in a
 /// numerator carry so no precision is lost at any refill cadence — the
 /// admission decision is a pure function of the observation times,
-/// which is what keeps --jobs 1 == --jobs N byte-identity intact.
+/// which is what keeps --jobs 1 == --jobs N byte-identity intact. The
+/// bucket equals one computed in unbounded integers at any rate and gap.
 class TokenBucket {
  public:
   TokenBucket() = default;
@@ -151,9 +152,6 @@ class TokenBucket {
 
   /// Refills to `now` then takes one token if available.
   [[nodiscard]] bool try_take(Cycles now);
-  /// Refills to `now` then takes up to `n` tokens; returns how many were
-  /// granted (realtime batch admission).
-  [[nodiscard]] std::uint64_t take_up_to(std::uint64_t n, Cycles now);
 
   [[nodiscard]] std::uint64_t tokens() const { return tokens_; }
 

@@ -38,6 +38,16 @@ void sort_by_time(std::vector<Arrival>& buf, std::vector<Arrival>& scratch,
   }
 }
 
+/// A client's retry backoff, min(base * 2^attempt, cap).
+Cycles backoff_for(const ServiceConfig& cfg, std::uint32_t attempt) {
+  const Cycles base = cfg.backoff_base_cycles == 0 ? 1
+                                                   : cfg.backoff_base_cycles;
+  const Cycles cap = std::max<Cycles>(base, cfg.backoff_cap_cycles);
+  const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
+  const Cycles b = base << shift;
+  return (b >> shift) != base || b > cap ? cap : b;
+}
+
 }  // namespace
 
 ClientSeeds client_seeds(std::uint64_t service_seed, std::uint32_t client) {
@@ -46,15 +56,6 @@ ClientSeeds client_seeds(std::uint64_t service_seed, std::uint32_t client) {
   s.workload = mix.next();
   s.gap = mix.next();
   return s;
-}
-
-Cycles backoff_for(const ServiceConfig& cfg, std::uint32_t attempt) {
-  const Cycles base = cfg.backoff_base_cycles == 0 ? 1
-                                                   : cfg.backoff_base_cycles;
-  const Cycles cap = std::max<Cycles>(base, cfg.backoff_cap_cycles);
-  const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
-  const Cycles b = base << shift;
-  return (b >> shift) != base || b > cap ? cap : b;
 }
 
 Cycles arrival_window_cycles(const ServiceConfig& service) {

@@ -62,11 +62,6 @@ struct ClientSeeds {
 [[nodiscard]] ClientSeeds client_seeds(std::uint64_t service_seed,
                                        std::uint32_t client);
 
-/// A client's retry backoff, min(base * 2^attempt, cap); both engines
-/// use it.
-[[nodiscard]] Cycles backoff_for(const ServiceConfig& cfg,
-                                 std::uint32_t attempt);
-
 /// Window length in cycles: a client's gaps average
 /// max(mean_gap_cycles, 1) cycles, so a window holds about 8192
 /// arrivals over all clients (256 mean gaps at 32 clients).

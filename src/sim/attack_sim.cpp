@@ -1,7 +1,6 @@
 #include "sim/attack_sim.h"
 
 #include "device/factory.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "sim/dispatch.h"
 
@@ -28,19 +27,6 @@ template <class Controller, class Attack>
 }
 
 }  // namespace
-
-void AttackResult::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("scheme", scheme);
-  w.kv("attack", attack);
-  w.kv("failed", failed);
-  w.kv("demand_writes", demand_writes);
-  w.kv("fraction_of_ideal", fraction_of_ideal);
-  w.kv("end_time_cycles", end_time);
-  w.key("stats");
-  stats.write_json(w);
-  w.end_object();
-}
 
 AttackSimulator::AttackSimulator(const Config& config)
     : config_(config),

@@ -19,7 +19,6 @@
 namespace twl {
 
 class EventTracer;
-class JsonWriter;
 class MetricsRegistry;
 
 struct AttackResult {
@@ -30,9 +29,6 @@ struct AttackResult {
   ControllerStats stats;
   std::string scheme;
   std::string attack;
-
-  /// One JSON object with every field.
-  void write_json(JsonWriter& w) const;
 };
 
 class AttackSimulator {

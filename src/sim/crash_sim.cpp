@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "device/factory.h"
@@ -129,27 +128,6 @@ RecoveryVerdicts verify_recovery(const RecoveredCrash& crash,
       take_snapshot(crash.continued) == take_snapshot(*ref_scheme) &&
       crash.continued.invariants_hold();
   return v;
-}
-
-void CrashTrialResult::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("crash_write", crash_write);
-  w.kv("committed_writes", committed_writes);
-  w.kv("commit_survived", commit_survived);
-  w.kv("torn_tail", torn_tail);
-  w.kv("garbage_tail", garbage_tail);
-  w.kv("cut_bytes", cut_bytes);
-  w.kv("orphan_swap_intents", orphan_swap_intents);
-  w.kv("replayed_writes", replayed_writes);
-  w.kv("snapshots_taken", snapshots_taken);
-  w.kv("journal_bytes_total", journal_bytes_total);
-  w.kv("mapping_bijective", verdicts.mapping_bijective);
-  w.kv("state_matches_reference", verdicts.state_matches_reference);
-  w.kv("rollback_consistent", verdicts.rollback_consistent);
-  w.kv("wear_drift_bounded", verdicts.wear_drift_bounded);
-  w.kv("continuation_matches", verdicts.continuation_matches);
-  w.kv("all_invariants_hold", verdicts.all_hold());
-  w.end_object();
 }
 
 CrashSimulator::CrashSimulator(const Config& config,

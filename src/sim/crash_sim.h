@@ -42,7 +42,6 @@ namespace twl {
 
 class Device;
 class EventTracer;
-class JsonWriter;
 class MetricsRegistry;
 class WearLeveler;
 
@@ -131,9 +130,6 @@ struct CrashTrialResult {
   std::uint64_t journal_bytes_total = 0;  ///< Lifetime appended bytes.
 
   RecoveryVerdicts verdicts;
-
-  /// One JSON object (crash geometry plus the five verdicts).
-  void write_json(JsonWriter& w) const;
 };
 
 class CrashSimulator {

@@ -2,31 +2,10 @@
 
 #include <cassert>
 
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "pcm/device.h"
 
 namespace twl {
-
-void DegradationResult::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("scheme", scheme);
-  w.kv("first_failure_writes", first_failure_writes);
-  w.kv("floor_writes", floor_writes);
-  w.kv("reached_floor", reached_floor);
-  w.key("curve");
-  w.begin_array();
-  for (const DegradationPoint& p : curve) {
-    w.begin_object();
-    w.kv("demand_writes", p.demand_writes);
-    w.kv("dead_pages", static_cast<std::uint64_t>(p.dead_pages));
-    w.end_object();
-  }
-  w.end_array();
-  w.key("stats");
-  stats.write_json(w);
-  w.end_object();
-}
 
 DegradationSimulator::DegradationSimulator(const Config& config)
     : config_(config),

@@ -20,7 +20,6 @@
 namespace twl {
 
 class EventTracer;
-class JsonWriter;
 class MetricsRegistry;
 
 struct DegradationPoint {
@@ -38,9 +37,6 @@ struct DegradationResult {
   std::vector<DegradationPoint> curve;
   ControllerStats stats;
   std::string scheme;
-
-  /// One JSON object (counters and the full capacity curve).
-  void write_json(JsonWriter& w) const;
 };
 
 class DegradationSimulator {

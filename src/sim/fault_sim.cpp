@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "pcm/device.h"
 
@@ -13,36 +12,6 @@ WriteCount FaultSimResult::demand_writes_to_loss(double loss_frac) const {
     if (p.loss_fraction >= loss_frac) return p.demand_writes;
   }
   return 0;
-}
-
-void FaultSimResult::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("scheme", scheme);
-  w.kv("workload", workload);
-  w.kv("first_failure_writes", first_failure_writes);
-  w.kv("fatal_writes", fatal_writes);
-  w.kv("fatal", fatal);
-  w.kv("demand_writes", demand_writes);
-  w.kv("pages_retired", static_cast<std::uint64_t>(pages_retired));
-  w.kv("spares_left", static_cast<std::uint64_t>(spares_left));
-  w.kv("total_stuck_faults", total_stuck_faults);
-  w.kv("ecp_corrected_faults", ecp_corrected_faults);
-  w.kv("first_failure_fraction_of_ideal", first_failure_fraction_of_ideal);
-  w.key("curve");
-  w.begin_array();
-  for (const CapacityLossPoint& p : curve) {
-    w.begin_object();
-    w.kv("demand_writes", p.demand_writes);
-    w.kv("retired_pages", static_cast<std::uint64_t>(p.retired_pages));
-    w.kv("loss_fraction", p.loss_fraction);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("wear");
-  wear.write_json(w);
-  w.key("stats");
-  stats.write_json(w);
-  w.end_object();
 }
 
 FaultSimulator::FaultSimulator(const Config& config)

@@ -25,7 +25,6 @@
 namespace twl {
 
 class EventTracer;
-class JsonWriter;
 class MetricsRegistry;
 
 /// One page retirement on the capacity-loss curve.
@@ -60,9 +59,6 @@ struct FaultSimResult {
   /// reached `loss_frac` (e.g. 0.05 for 5% capacity loss). 0 if the run
   /// never lost that much capacity.
   [[nodiscard]] WriteCount demand_writes_to_loss(double loss_frac) const;
-
-  /// One JSON object (counters, wear, the full capacity-loss curve).
-  void write_json(JsonWriter& w) const;
 };
 
 class FaultSimulator {

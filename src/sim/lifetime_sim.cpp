@@ -1,7 +1,6 @@
 #include "sim/lifetime_sim.h"
 
 #include "device/factory.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "sim/dispatch.h"
 
@@ -25,21 +24,6 @@ template <class Controller>
 }
 
 }  // namespace
-
-void LifetimeResult::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("scheme", scheme);
-  w.kv("workload", workload);
-  w.kv("failed", failed);
-  w.kv("demand_writes", demand_writes);
-  w.kv("physical_writes", physical_writes);
-  w.kv("fraction_of_ideal", fraction_of_ideal);
-  w.key("wear");
-  wear.write_json(w);
-  w.key("stats");
-  stats.write_json(w);
-  w.end_object();
-}
 
 LifetimeSimulator::LifetimeSimulator(const Config& config)
     : config_(config),

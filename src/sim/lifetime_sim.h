@@ -21,7 +21,6 @@
 namespace twl {
 
 class EventTracer;
-class JsonWriter;
 class MetricsRegistry;
 
 struct LifetimeResult {
@@ -33,9 +32,6 @@ struct LifetimeResult {
   ControllerStats stats;
   std::string scheme;
   std::string workload;
-
-  /// One JSON object (scheme, workload, counters, wear summary).
-  void write_json(JsonWriter& w) const;
 };
 
 class LifetimeSimulator {

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "device/hybrid.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "recovery/journal.h"
 #include "recovery/snapshot.h"
@@ -54,25 +53,6 @@ WriteCount ControllerStats::physical_writes() const {
 WriteCount ControllerStats::extra_writes() const {
   return physical_writes() -
          writes_by_purpose[static_cast<std::size_t>(WritePurpose::kDemand)];
-}
-
-void ControllerStats::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("demand_writes", demand_writes);
-  w.kv("reads", reads);
-  w.key("writes_by_purpose");
-  w.begin_object();
-  for (std::size_t p = 0; p < kNumWritePurposes; ++p) {
-    w.kv(to_string(static_cast<WritePurpose>(p)), writes_by_purpose[p]);
-  }
-  w.end_object();
-  w.kv("migration_reads", migration_reads);
-  w.kv("blocking_events", blocking_events);
-  w.kv("pages_retired", static_cast<std::uint64_t>(pages_retired));
-  w.kv("unretired_failures", static_cast<std::uint64_t>(unretired_failures));
-  w.kv("physical_writes", physical_writes());
-  w.kv("extra_writes", extra_writes());
-  w.end_object();
 }
 
 void ControllerStats::publish(MetricsRegistry& m) const {

@@ -40,7 +40,6 @@
 
 namespace twl {
 
-class JsonWriter;
 class MetadataJournal;
 class MetricsRegistry;
 class LogHistogram;
@@ -66,9 +65,6 @@ struct ControllerStats {
 
   friend bool operator==(const ControllerStats&,
                          const ControllerStats&) = default;
-
-  /// One JSON object with every counter plus the derived totals.
-  void write_json(JsonWriter& w) const;
 
   /// Export every counter into `m` under "controller." names (per-purpose
   /// write counts as "controller.writes.<purpose>").

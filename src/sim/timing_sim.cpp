@@ -5,37 +5,9 @@
 #include <vector>
 
 #include "device/factory.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace twl {
-
-void LatencyStats::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("mean", mean);
-  w.kv("p50", p50);
-  w.kv("p95", p95);
-  w.kv("p99", p99);
-  w.kv("max", max);
-  w.kv("count", count);
-  w.end_object();
-}
-
-void TimingResult::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("scheme", scheme);
-  w.kv("workload", workload);
-  w.kv("total_cycles", total_cycles);
-  w.kv("demand_writes", demand_writes);
-  w.kv("reads", reads);
-  w.key("read_latency");
-  read_latency.write_json(w);
-  w.key("write_latency");
-  write_latency.write_json(w);
-  w.key("stats");
-  stats.write_json(w);
-  w.end_object();
-}
 
 namespace {
 /// CPU work separating consecutive request issues from one core's stream.

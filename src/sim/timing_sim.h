@@ -22,7 +22,6 @@
 namespace twl {
 
 class EventTracer;
-class JsonWriter;
 class MetricsRegistry;
 
 /// Latency distribution of one request class.
@@ -33,8 +32,6 @@ struct LatencyStats {
   Cycles p99 = 0;
   Cycles max = 0;
   std::uint64_t count = 0;
-
-  void write_json(JsonWriter& w) const;
 };
 
 struct TimingResult {
@@ -46,9 +43,6 @@ struct TimingResult {
   ControllerStats stats;
   std::string scheme;
   std::string workload;
-
-  /// One JSON object with every field.
-  void write_json(JsonWriter& w) const;
 };
 
 class TimingSimulator {

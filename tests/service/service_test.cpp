@@ -11,7 +11,6 @@
 
 #include "common/config.h"
 #include "common/sim_runner.h"
-#include "obs/json.h"
 
 namespace twl {
 namespace {
@@ -151,13 +150,6 @@ TEST(ServiceVirtual, JobsOneAndJobsNAreByteIdentical) {
 
   EXPECT_TRUE(a == b) << "--jobs 1 vs --jobs 4 diverged";
   EXPECT_TRUE(a == c) << "repeated fixed-seed runs diverged";
-
-  // And the identity is visible at the JSON layer too (the CI diff).
-  JsonWriter wa;
-  a.write_json(wa);
-  JsonWriter wb;
-  b.write_json(wb);
-  EXPECT_EQ(wa.str(), wb.str());
 }
 
 TEST(ServiceVirtual, ClosedLoopAccountingIsExact) {
@@ -325,84 +317,6 @@ TEST(ServiceVirtual, ShardingPolicyChangesTheDigestNotTheBooks) {
   EXPECT_TRUE(b.totals.accounting_exact());
   EXPECT_NE(a.service_digest, b.service_digest)
       << "different routing should land different per-shard traffic";
-}
-
-// Real-time mode is not deterministic, but its books must balance and it
-// must survive TSan (this test is in the sanitizer CI jobs). Kept small:
-// correctness of the shared accounting, not throughput, is the claim.
-TEST(ServiceRealtime, ThreadedRunBalancesItsBooks) {
-  const Config config = small_config();
-  ServiceConfig s;
-  s.shards = 2;
-  s.clients = 3;
-  s.requests_per_client = 5000;
-  s.queue_capacity = 32;
-  s.overflow = OverflowPolicy::kBlock;  // Lossless: producers wait.
-
-  const ServiceFrontEnd fe(config, s);
-  const ServiceRunResult r = fe.run_realtime();
-  EXPECT_TRUE(r.totals.accounting_exact());
-  EXPECT_EQ(r.totals.submitted,
-            std::uint64_t{s.clients} * s.requests_per_client);
-  EXPECT_EQ(r.totals.accepted, r.totals.submitted);
-  EXPECT_GT(r.wall_seconds, 0.0);
-  EXPECT_GT(r.requests_per_second, 0.0);
-  const LogHistogram* lat =
-      r.metrics.find_histogram("service.request_latency_ns");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count(), r.totals.accepted);
-}
-
-// Tenant mode in real time: one lane per (shard, tenant), quota gates on
-// the client flush, shed on overflow. The books must partition exactly
-// per tenant, per shard and in aggregate. A burst below the 256-request
-// flush guarantees quota rejections however slow the host runs.
-TEST(ServiceRealtime, TenantLanesBalanceTheirBooks) {
-  const Config config = small_config();
-  ServiceConfig s;
-  s.shards = 2;
-  s.clients = 3;
-  s.requests_per_client = 5000;
-  s.queue_capacity = 32;
-  s.overflow = OverflowPolicy::kShed;
-  s.tenancy.tenants = 3;
-  s.tenancy.blend = TenantBlend::kHostile;
-  s.tenancy.quota_rate = 1;
-  s.tenancy.quota_burst = 4;
-
-  const ServiceFrontEnd fe(config, s);
-  const ServiceRunResult r = fe.run_realtime();
-  EXPECT_TRUE(r.totals.accounting_exact());
-  EXPECT_EQ(r.totals.submitted,
-            std::uint64_t{s.clients} * s.requests_per_client);
-  EXPECT_GT(r.totals.quota_shed, 0u);
-
-  ASSERT_EQ(r.tenants.size(), s.tenancy.tenants);
-  std::uint64_t tenant_submitted = 0;
-  for (const TenantReport& t : r.tenants) {
-    EXPECT_TRUE(t.totals.accounting_exact()) << "tenant " << t.tenant;
-    EXPECT_EQ(t.totals.submitted, s.requests_per_client)
-        << "tenant " << t.tenant;
-    tenant_submitted += t.totals.submitted;
-  }
-  EXPECT_EQ(tenant_submitted, r.totals.submitted);
-  ASSERT_EQ(r.shards.size(), s.shards);
-  for (const ShardReport& shard : r.shards) {
-    EXPECT_TRUE(shard.totals.accounting_exact()) << "shard " << shard.shard;
-    ASSERT_EQ(shard.tenants.size(), s.tenancy.tenants);
-    for (const TenantReport& t : shard.tenants) {
-      EXPECT_TRUE(t.totals.accounting_exact())
-          << "shard " << shard.shard << " tenant " << t.tenant;
-    }
-  }
-
-  const LogHistogram* lat =
-      r.metrics.find_histogram("service.request_latency_ns");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count(), r.totals.accepted);
-  const Counter* quota = r.metrics.find_counter("service.quota_shed");
-  ASSERT_NE(quota, nullptr);
-  EXPECT_EQ(quota->value(), r.totals.quota_shed);
 }
 
 }  // namespace

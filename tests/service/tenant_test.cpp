@@ -15,9 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/config.h"
 #include "common/sim_runner.h"
-#include "obs/json.h"
 #include "recovery/snapshot.h"
 #include "service/service.h"
 
@@ -83,6 +83,10 @@ TEST(TenantDirectory, RejectsOversubscriptionAndZeroSpans) {
   EXPECT_THROW((void)TenantDirectory::carve(
                    64, 4, std::vector<std::uint64_t>{60, 5, 0}),
                std::invalid_argument);
+  // Budgets whose sum wraps 64 bits still oversubscribe.
+  EXPECT_THROW((void)TenantDirectory::carve(
+                   64, 4, std::vector<std::uint64_t>(2, std::uint64_t{1} << 63)),
+               std::invalid_argument);
   // More tenants than pages: somebody ends up with zero.
   EXPECT_THROW(
       (void)TenantDirectory::carve(2, 4, std::vector<std::uint64_t>(3, 0)),
@@ -109,6 +113,21 @@ TEST(TenantDirectory, WireFormatRoundTripsAndDetectsDamage) {
     EXPECT_THROW((void)TenantDirectory::deserialize(bad), SnapshotError)
         << "flip at byte " << at;
   }
+
+  // A CRC-valid blob whose spans {2^63, 2^63} sum past 2^64 overlaps
+  // tenant 1 with tenant 0 once the sum wraps, so it must not load.
+  SnapshotWriter body;
+  body.put_u32(0x54445231u);  // 'TDR1'
+  body.put_u16(1);
+  body.put_u32(4);
+  body.put_u64(~std::uint64_t{0});
+  body.put_u64_vec({0, std::uint64_t{1} << 63});
+  body.put_u64_vec({std::uint64_t{1} << 63, std::uint64_t{1} << 63});
+  SnapshotWriter sealed;
+  for (const std::uint8_t b : body.bytes()) sealed.put_u8(b);
+  sealed.put_u32(crc32(body.bytes().data(), body.bytes().size()));
+  EXPECT_THROW((void)TenantDirectory::deserialize(sealed.take()),
+               SnapshotError);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,14 +146,28 @@ TEST(TokenBucket, IntegerRefillIsExactAndCapped) {
   EXPECT_FALSE(b.try_take(750));
   EXPECT_TRUE(b.try_take(1000));
   // A long idle stretch refills to the burst cap, not beyond.
-  EXPECT_EQ(b.take_up_to(100, 1'000'000), 4u);
-  EXPECT_EQ(b.tokens(), 0u);
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(b.try_take(1'000'000)) << i;
+  EXPECT_FALSE(b.try_take(1'000'000));
+
+  // Credit past 64 bits is not lost to wraparound: the bucket equals one
+  // computed in unbounded integers. 4 cycles at 2^62 per 1000 cycles is
+  // 2^64 / 1000 tokens, so every take refills the single-token burst.
+  TokenBucket fast(/*rate_per_kcycle=*/std::uint64_t{1} << 62, /*burst=*/1);
+  for (const Cycles t : {0, 4, 8}) {
+    EXPECT_TRUE(fast.try_take(t)) << "t = " << t;
+  }
+  // One idle gap of 2^60 cycles at 1024 per 1000 refills a spent burst.
+  TokenBucket idle(/*rate_per_kcycle=*/1024, /*burst=*/2);
+  EXPECT_TRUE(idle.try_take(0));
+  EXPECT_TRUE(idle.try_take(0));
+  EXPECT_FALSE(idle.try_take(0));
+  EXPECT_TRUE(idle.try_take(Cycles{1} << 60));
+  EXPECT_EQ(idle.tokens(), 1u);
 }
 
 TEST(TokenBucket, RateZeroIsUnlimited) {
   TokenBucket b(/*rate_per_kcycle=*/0, /*burst=*/1);
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(b.try_take(0));
-  EXPECT_EQ(b.take_up_to(1000, 0), 1000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -370,24 +403,13 @@ TEST(TenantEngine, SingleTenantDefaultKeepsThePreTenantReportShape) {
   EXPECT_EQ(r.metrics.find_counter("service.tenant.0.submitted"), nullptr);
   EXPECT_EQ(r.metrics.find_gauge("service.shard.cache_hit_rate"), nullptr);
 
-  JsonWriter w;
-  r.write_json(w);
-  const std::string json = w.str();
-  EXPECT_EQ(json.find("tenants"), std::string::npos);
-  EXPECT_EQ(json.find("quota_shed"), std::string::npos);
-  EXPECT_EQ(json.find("directory_verified"), std::string::npos);
-  EXPECT_EQ(json.find("cache_hit_rate"), std::string::npos);
-
-  // And the tenant-mode document does carry the new fields.
-  ServiceConfig multi = tenant_service(2);
-  const ServiceFrontEnd fe2(config, multi);
+  // And tenant mode does carry the tenant rows and counters.
+  const ServiceFrontEnd fe2(config, tenant_service(2));
   SimRunner runner2(1);
-  JsonWriter w2;
-  fe2.run_virtual(runner2).write_json(w2);
-  const std::string json2 = w2.str();
-  EXPECT_NE(json2.find("\"tenants\""), std::string::npos);
-  EXPECT_NE(json2.find("quota_shed"), std::string::npos);
-  EXPECT_NE(json2.find("directory_verified"), std::string::npos);
+  const ServiceRunResult r2 = fe2.run_virtual(runner2);
+  EXPECT_EQ(r2.tenants.size(), 2u);
+  EXPECT_NE(r2.metrics.find_counter("service.quota_shed"), nullptr);
+  EXPECT_NE(r2.metrics.find_counter("service.tenant.0.submitted"), nullptr);
 }
 
 // Hybrid backend: the DRAM cache hit rate surfaces through the shard

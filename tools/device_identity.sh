@@ -38,10 +38,10 @@ run fleet_atk   "$build/bench/bench_fleet" --scenario attack_twl --jobs 2
 # Corrupting profile: covers the snapshot-damage kinds and the fallback
 # to the previous snapshot, which the two crash-only rows above never hit.
 run fleet_corrupt "$build/bench/bench_fleet" --scenario corruption_twl --jobs 2
-run service     "$build/bench/bench_service" --mode virtual --requests 4096 --chaos 64 --corruption --jobs 2
+run service     "$build/bench/bench_service" --requests 4096 --chaos 64 --corruption --jobs 2
 # Paced: the unpaced row above mostly sheds, so this one covers the
 # accept path (journal brackets, snapshot rotation, crash recovery).
-run service_paced "$build/bench/bench_service" --mode virtual --requests 4096 --chaos 64 --corruption --gap 2000 --jobs 2
+run service_paced "$build/bench/bench_service" --requests 4096 --chaos 64 --corruption --gap 2000 --jobs 2
 run quickstart  "$build/examples/quickstart"
 run attack_demo "$build/examples/attack_demo"
 run crash_rec   "$build/examples/crash_recovery" --writes 200
